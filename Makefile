@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt-check fuzz smoke bench bench-producer bench-merge bench-store bench-remote bench-gate
+.PHONY: all build vet test race check stress fmt-check fuzz smoke bench bench-producer bench-merge bench-store bench-remote bench-gate
 
 all: build
 
@@ -35,6 +35,14 @@ smoke:
 
 # The full gate: what CI and pre-commit should run.
 check: build vet fmt-check test race smoke
+
+# Load stress for the daemon's lifecycle: the server tests run 20 times
+# while the core tests loop alongside as CPU load, so flakes that only show
+# on a busy machine surface here rather than in CI. Not part of check.
+stress:
+	@$(GO) test -count=20 ./internal/server/ & srv=$$!; \
+	while kill -0 $$srv 2>/dev/null; do $(GO) test -count=1 ./internal/core/ >/dev/null; done & load=$$!; \
+	wait $$srv; rc=$$?; wait $$load; exit $$rc
 
 # Hot-path throughput gate: run BenchmarkHotPath and append the events/s
 # numbers to BENCH_pipeline.json under BENCH_LABEL, so regressions are

@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"ddprof/internal/exp"
-	"ddprof/internal/interp"
 	"ddprof/internal/report"
 	"ddprof/internal/telemetry"
 )
@@ -66,7 +65,6 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run to this file (Perfetto-loadable)")
 		traceInt = flag.Duration("trace-interval", 50*time.Millisecond, "flight-recorder sampling interval for -trace-out")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		useTW    = flag.Bool("interp", false, "execute targets with the reference tree-walking interpreter instead of the bytecode VM")
 
 		benchJSON    = flag.String("bench-json", "BENCH_pipeline.json", "destination file for the benchjson subcommand")
 		benchLabel   = flag.String("bench-label", "run", "run label for the benchjson subcommand")
@@ -227,9 +225,6 @@ func main() {
 	}
 	if *only != "" {
 		opt.Only = strings.Split(*only, ",")
-	}
-	if *useTW {
-		opt.Producer = interp.TreeWalker{}
 	}
 
 	runners := map[string]func(exp.Options) error{

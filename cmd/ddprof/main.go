@@ -1,9 +1,15 @@
 // Command ddprof profiles a bundled benchmark program and prints its data
-// dependences in the paper's output format (Figure 1 / Figure 3).
+// dependences in the paper's output format (Figure 1 / Figure 3), followed
+// by the '#'-prefixed analysis report of a local run: loop parallelism
+// verdicts (§VII-A), section dependences, hot dependences and the dynamic
+// call graph, plus the communication heatmap and race listing (§VII-B, §V-B)
+// under -mode mt.
 //
 // Usage:
 //
 //	ddprof -workload kmeans                      # serial profiling
+//	ddprof -workload CG -mode parallel -summary  # loop parallelism report only
+//	ddprof -workload water-spatial -mode mt -threads 8 -summary  # communication pattern
 //	ddprof -file prog.ml                         # profile a minilang source file
 //	ddprof -workload kmeans -mode parallel -workers 16
 //	ddprof -workload kmeans -mode mt -threads 4  # profile the pthread variant
@@ -53,7 +59,6 @@ func run() int {
 		watch   = flag.Bool("watch", false, "with -remote: subscribe to a session's live epoch-delta stream instead of profiling")
 		watchID = flag.Uint64("watch-session", 0, "with -watch: daemon session to observe (0 = newest active, waiting for the next when none is)")
 		watchAt = flag.Uint64("watch-since", 0, "with -watch: catch up from this epoch (0 = the full profile so far)")
-		useTW   = flag.Bool("interp", false, "execute the target with the reference tree-walking interpreter instead of the bytecode VM")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the profiler to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
@@ -148,10 +153,10 @@ func run() int {
 	}
 
 	if *remote != "" {
-		return runRemote(prog, isMT || *mode == "mt", w, *remote, *workers, *backend, *useTW, *summary, *format, *frameKB)
+		return runRemote(prog, isMT || *mode == "mt", w, *remote, *workers, *backend, *summary, *format, *frameKB)
 	}
 
-	cfg := ddprof.Config{Workers: *workers, Slots: *slots, Backend: *backend, Interp: *useTW}
+	cfg := ddprof.Config{Workers: *workers, Slots: *slots, Backend: *backend}
 	switch *mode {
 	case "serial":
 		cfg.Mode = ddprof.ModeSerial
@@ -189,22 +194,17 @@ func run() int {
 			return 1
 		}
 	}
-	fmt.Printf("\n# %s: %d accesses, %d dependences (%d dynamic instances merged)\n",
-		prog.Name, res.Accesses, res.Deps.Unique(), res.Deps.Instances())
-	fmt.Printf("# parallelizable loops: %v\n", res.ParallelizableLoops())
-	if cfg.Mode == ddprof.ModeMT {
-		fmt.Printf("# dependences flagged as potential races: %d\n", res.Races)
-	}
-	if res.Stats.Migrations > 0 {
-		fmt.Printf("# load balancing: %d migrations in %d redistribution rounds\n",
-			res.Stats.Migrations, res.Stats.Redistributions)
+	fmt.Println()
+	if err := res.WriteReport(os.Stdout, *threads); err != nil {
+		fmt.Fprintln(os.Stderr, "ddprof:", err)
+		return 1
 	}
 	return 0
 }
 
 // runRemote executes the target locally while streaming its trace to a
 // ddprofd daemon, then renders the dependence set the daemon returned.
-func runRemote(prog *ddprof.Program, mt bool, w io.Writer, addr string, workers int, backend string, useTW, summary bool, format string, frameBytes int) int {
+func runRemote(prog *ddprof.Program, mt bool, w io.Writer, addr string, workers int, backend string, summary bool, format string, frameBytes int) int {
 	conn, err := server.Dial(addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ddprof:", err)
@@ -215,7 +215,6 @@ func runRemote(prog *ddprof.Program, mt bool, w io.Writer, addr string, workers 
 		Workers:    workers,
 		Backend:    backend,
 		MT:         mt,
-		Interp:     useTW,
 		FrameBytes: frameBytes,
 	})
 	if err != nil {

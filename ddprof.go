@@ -150,19 +150,6 @@ type Config struct {
 	// fewer cores than target threads this restores the interleavings real
 	// parallel hardware exhibits, which the race-flagging experiment needs.
 	SchedulerFuzz int
-	// Interp executes the target with the reference tree-walking
-	// interpreter instead of the default bytecode VM. Both producers emit
-	// byte-identical event streams; the interpreter is slower but is the
-	// semantics of record, kept selectable for differential debugging.
-	Interp bool
-}
-
-// executor selects the event producer for cfg.
-func (cfg Config) executor() interp.Executor {
-	if cfg.Interp {
-		return interp.TreeWalker{}
-	}
-	return vm.New()
 }
 
 // Result is a completed profile.
@@ -183,6 +170,10 @@ type Result struct {
 	prog        *minilang.Program
 	loopRecords []dep.LoopRecord
 	threads     bool
+	// The run's dynamic call graph, rendered by WriteReport.
+	calls        map[string]uint64
+	callEdges    map[interp.CallEdge]uint64
+	maxCallDepth int
 }
 
 // Profile executes the program under the configured profiler and returns
@@ -232,19 +223,22 @@ func Profile(p *Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ddprof: %w", err)
 	}
-	info, err := cfg.executor().Run(p, prof, iopt)
+	info, err := vm.New().Run(p, prof, iopt)
 	if err != nil {
 		return nil, err
 	}
 	res := prof.Flush()
 	out := &Result{
-		Deps:        res.Deps,
-		Loops:       analysis.DiscoverParallelism(p.Meta, res, info.LoopIters),
-		Accesses:    info.Accesses,
-		Stats:       res.Stats,
-		prog:        p,
-		loopRecords: info.LoopRecords,
-		threads:     cfg.Mode == ModeMT,
+		Deps:         res.Deps,
+		Loops:        analysis.DiscoverParallelism(p.Meta, res, info.LoopIters),
+		Accesses:     info.Accesses,
+		Stats:        res.Stats,
+		prog:         p,
+		loopRecords:  info.LoopRecords,
+		threads:      cfg.Mode == ModeMT,
+		calls:        info.Calls,
+		callEdges:    info.CallEdges,
+		maxCallDepth: info.MaxCallDepth,
 	}
 	res.Deps.Range(func(_ dep.Key, st dep.Stats) bool {
 		if st.Reversed {
@@ -279,6 +273,13 @@ func ProfileUnion(builds []func() *Program, cfg Config) (*Result, error) {
 		union.Deps.Merge(res.Deps)
 		union.Accesses += res.Accesses
 		union.Races += res.Races
+		for fn, n := range res.calls {
+			union.calls[fn] += n
+		}
+		for e, n := range res.callEdges {
+			union.callEdges[e] += n
+		}
+		union.maxCallDepth = max(union.maxCallDepth, res.maxCallDepth)
 		// Keep the pessimistic (union) loop verdicts: a loop must be clean
 		// under every input.
 		byName := make(map[string]int)

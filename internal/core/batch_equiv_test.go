@@ -81,8 +81,8 @@ func TestAccessBatchEquivalence(t *testing.T) {
 }
 
 // TestAccessBatchRanges checks the RangeRef side-table path: a batch holding
-// compressed strided runs must profile identically to the equivalent
-// AccessRange calls interleaved with point accesses.
+// compressed strided runs must profile identically to the same ranges fed
+// one per batch, interleaved with point accesses.
 func TestAccessBatchRanges(t *testing.T) {
 	m := prog.NewMeta()
 	l := m.AddLoop(prog.Loop{Name: "strided"})
@@ -117,12 +117,7 @@ func TestAccessBatchRanges(t *testing.T) {
 		ri := 0
 		for _, a := range slots {
 			if a.Kind == event.RangeRef {
-				switch p := ref.(type) {
-				case *Serial:
-					p.AccessRange(rngs[ri])
-				case *Parallel:
-					p.AccessRange(rngs[ri])
-				}
+				feedRange(ref, rngs[ri])
 				ri++
 				continue
 			}

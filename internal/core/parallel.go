@@ -66,18 +66,12 @@ func newParallel(cfg Config) (*Parallel, error) {
 // Access implements Profiler.
 func (p *Parallel) Access(a event.Access) { p.pr.access(a) }
 
-// AccessRange feeds a pre-compressed strided run (a DDT1 range record) into
-// the pipeline. The producer splits it along the owner mask so per-address
-// routing — and therefore the profile — is exactly what Count Access calls
-// would produce; when splitting doesn't apply the run is expanded through
-// the point path. Single-goroutine, like Access.
-func (p *Parallel) AccessRange(r event.Range) { p.pr.accessRange(&r) }
-
 // AccessBatch implements Profiler: one decoded batch through the producer
 // with the per-event counting and sketch bookkeeping amortized per batch.
 // Every slot takes the same routing/dup-collapse/re-compression paths as
-// Access and AccessRange, so the profile is byte-identical. Single-goroutine,
-// like Access.
+// Access, and a range is split along the owner mask so per-address routing
+// is exactly what Count Access calls would produce; the profile is
+// byte-identical. Single-goroutine, like Access.
 func (p *Parallel) AccessBatch(accesses []event.Access, ranges []event.Range) {
 	p.pr.putBatch(accesses, ranges)
 }

@@ -27,8 +27,8 @@ type Profiler interface {
 	// RangeRef slots whose Addr indexes into ranges — the event.Chunk layout.
 	// Only data and Remove point kinds (plus RangeRef) may appear; control
 	// kinds, EpochMark included, are the caller's to handle between batches.
-	// The resulting profile is byte-identical to the equivalent sequence of
-	// Access/AccessRange calls.
+	// The resulting profile is byte-identical to Access over the expanded
+	// event sequence (each range as its Count elements in order).
 	AccessBatch(accesses []event.Access, ranges []event.Range)
 	Flush() *Result
 }
@@ -251,29 +251,6 @@ func (s *Serial) Access(a event.Access) {
 		}
 	}
 	s.eng.Process(a)
-}
-
-// AccessRange feeds a pre-compressed strided run (a DDT1 range record)
-// through the serial engine: one bulk dispatch instead of Count Access
-// calls. The profile is identical to feeding r.At(0..Count-1) in order.
-func (s *Serial) AccessRange(r event.Range) {
-	if r.Count == 0 {
-		return
-	}
-	if r.Kind == event.Read || r.Kind == event.Write {
-		s.stats.Accesses += uint64(r.Count)
-		s.stats.Ranges++
-		s.stats.RangeElements += uint64(r.Count)
-		if s.m != nil {
-			s.m.Ranges.Inc()
-			s.m.RangeElements.Add(uint64(r.Count))
-			if s.stats.Accesses-s.published >= 1024 {
-				s.m.Events.Add(s.stats.Accesses - s.published)
-				s.published = s.stats.Accesses
-			}
-		}
-	}
-	s.eng.ProcessRange(&r)
 }
 
 // AccessBatch implements Profiler: the whole batch drives the engine in one

@@ -146,8 +146,14 @@ func TestProducerCompressionExactness(t *testing.T) {
 	}
 }
 
-// TestAccessRangeEquivalence feeds pre-compressed ranges through
-// Serial.AccessRange and Parallel.AccessRange (the trace-ingest path) and
+// feedRange feeds one pre-compressed range as a one-slot batch — the
+// per-record form of the trace-ingest path.
+func feedRange(p Profiler, r event.Range) {
+	p.AccessBatch([]event.Access{{Kind: event.RangeRef}}, []event.Range{r})
+}
+
+// TestAccessRangeEquivalence feeds pre-compressed ranges one at a time
+// through the serial and parallel batch seam (the trace-ingest path) and
 // requires the profile to match the same stream fed as points — covering the
 // owner-mask splitting rule on power-of-two worker counts and the
 // per-element fallback on the rest.
@@ -191,7 +197,7 @@ func TestAccessRangeEquivalence(t *testing.T) {
 	t.Run("serial", func(t *testing.T) {
 		s := NewSerial(Config{Backend: "perfect", Meta: m})
 		for _, r := range ranges {
-			s.AccessRange(r)
+			feedRange(s, r)
 		}
 		requireSameProfile(t, "serial ranges", want, s.Flush())
 	})
@@ -200,7 +206,7 @@ func TestAccessRangeEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("parallel-%dw", workers), func(t *testing.T) {
 			p := NewParallel(Config{Workers: workers, QueueCap: 8, Backend: "perfect", Meta: m})
 			for _, r := range ranges {
-				p.AccessRange(r)
+				feedRange(p, r)
 			}
 			res := p.Flush()
 			requireSameProfile(t, fmt.Sprintf("parallel %dw ranges", workers), want, res)
@@ -212,7 +218,7 @@ func TestAccessRangeEquivalence(t *testing.T) {
 	t.Run("parallel-nocomp-expands", func(t *testing.T) {
 		p := NewParallel(Config{Workers: 4, Backend: "perfect", Meta: m, NoStrideCompression: true})
 		for _, r := range ranges {
-			p.AccessRange(r)
+			feedRange(p, r)
 		}
 		res := p.Flush()
 		requireSameProfile(t, "parallel nocomp ranges", want, res)

@@ -47,12 +47,12 @@ func (r DiffResult) Identical() bool {
 }
 
 func sortKeys(ks []Key) {
-	sort.Slice(ks, func(i, j int) bool { return lessKey(ks[i], ks[j]) })
+	sort.Slice(ks, func(i, j int) bool { return LessKey(ks[i], ks[j]) })
 }
 
 // DiffStreams merge-joins two binary-profile record streams by key without
 // materializing either profile as a Set: the DDP1 format writes records in
-// canonical lessKey order, so one record of lookahead per side suffices.
+// canonical LessKey order, so one record of lookahead per side suffices.
 // Both streams must honor that ordering; a record out of order is reported
 // as an error rather than silently misclassified. OnlyA/OnlyB come out
 // already sorted (inherited from the streams).
@@ -72,7 +72,7 @@ func DiffStreams(a, b *Decoder) (DiffResult, error) {
 		if err != nil {
 			return err
 		}
-		if h.ok && !lessKey(h.k, k) {
+		if h.ok && !LessKey(h.k, k) {
 			return fmt.Errorf("dep: profile %s not in canonical order", name)
 		}
 		h.k, h.ok = k, true
@@ -88,12 +88,12 @@ func DiffStreams(a, b *Decoder) (DiffResult, error) {
 	}
 	for ha.ok || hb.ok {
 		switch {
-		case !hb.ok || (ha.ok && lessKey(ha.k, hb.k)):
+		case !hb.ok || (ha.ok && LessKey(ha.k, hb.k)):
 			r.OnlyA = append(r.OnlyA, ha.k)
 			if err := advance(a, &ha, "a"); err != nil {
 				return r, err
 			}
-		case !ha.ok || lessKey(hb.k, ha.k):
+		case !ha.ok || LessKey(hb.k, ha.k):
 			r.OnlyB = append(r.OnlyB, hb.k)
 			if err := advance(b, &hb, "b"); err != nil {
 				return r, err

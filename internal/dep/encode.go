@@ -24,7 +24,7 @@ import (
 //	    threads are small non-negative), count, flags (1 byte:
 //	    carried|reversed|reduction), minDist, maxDist
 //
-// Dependences are written in lessKey order, which makes the encoding
+// Dependences are written in LessKey order, which makes the encoding
 // canonical (two Sets with equal contents encode byte-identically) and lets
 // readers merge-join streams without materializing either side — the
 // profile-union primitive the sharded-fleet merge and ddiff ride on.
@@ -116,7 +116,7 @@ func (e *encoder) record(k Key, st Stats) error {
 
 // EncodeUnion streams the union of the shards as one binary profile,
 // byte-identical to Encode of the serially merged set, without building that
-// merged set: each shard's entries are walked in canonical (lessKey) order
+// merged set: each shard's entries are walked in canonical (LessKey) order
 // and the shard cursors merge-joined, folding the stats of keys present in
 // several shards on the fly. Shards are read-only; passing a single shard is
 // exactly Encode. This is the wire side of the profile-union primitive: a
@@ -140,7 +140,7 @@ func EncodeUnion(w io.Writer, tab *loc.Table, loops []LoopRecord, shards ...*Set
 		}
 		sh := s
 		sort.Slice(rs, func(i, j int) bool {
-			return lessKey(sh.at(rs[i]).key, sh.at(rs[j]).key)
+			return LessKey(sh.at(rs[i]).key, sh.at(rs[j]).key)
 		})
 		refs = append(refs, rs)
 		live = append(live, s)
@@ -159,7 +159,7 @@ func EncodeUnion(w io.Writer, tab *loc.Table, loops []LoopRecord, shards ...*Set
 					continue
 				}
 				k := live[i].at(rs[pos[i]]).key
-				if mi < 0 || lessKey(k, mk) {
+				if mi < 0 || LessKey(k, mk) {
 					mi, mk = i, k
 				}
 			}
@@ -191,7 +191,9 @@ func EncodeUnion(w io.Writer, tab *loc.Table, loops []LoopRecord, shards ...*Set
 	return e.bw.Flush()
 }
 
-func lessKey(a, b Key) bool {
+// LessKey is the canonical dependence order (sink, source, type, variable,
+// threads) that every deterministic rendering and encoding uses.
+func LessKey(a, b Key) bool {
 	if a.Sink != b.Sink {
 		return a.Sink < b.Sink
 	}

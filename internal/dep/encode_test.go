@@ -175,7 +175,7 @@ func TestGoldenBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n > 0 && !lessKey(prev, k) {
+		if n > 0 && !LessKey(prev, k) {
 			t.Fatalf("record %d out of canonical order: %+v then %+v", n, prev, k)
 		}
 		prev = k

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"ddprof/internal/interp"
 	"ddprof/internal/report"
 	"ddprof/internal/sig"
 	"ddprof/internal/stats"
@@ -31,7 +32,7 @@ func Table1(opt Options) (*report.Table, []Table1Row, error) {
 			continue
 		}
 		p := w.Build(opt.wcfg())
-		cap, info, err := captureRun(opt, p)
+		cap, info, err := captureRun(p)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
@@ -152,7 +153,7 @@ func MergeAblation(opt Options) (*report.Table, []MergeRow, error) {
 		}
 		p := w.Build(opt.wcfg())
 		prof := perfectSerial(p)
-		if _, err := captureAndReplayDirect(opt, p, prof); err != nil {
+		if _, err := runVM(p, prof, interp.Options{}); err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
 		res := prof.Flush()

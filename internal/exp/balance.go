@@ -53,7 +53,7 @@ func Balance(opt Options) (*report.Table, []BalanceRow, error) {
 				RedistributeEvery: redistribute,
 				Metrics:           Telemetry,
 			})
-			if _, err := opt.run(p, prof, interp.Options{}); err != nil {
+			if _, err := runVM(p, prof, interp.Options{}); err != nil {
 				return nil, err
 			}
 			return prof.Flush(), nil
@@ -72,7 +72,7 @@ func Balance(opt Options) (*report.Table, []BalanceRow, error) {
 		row.Migrations = res.Stats.Migrations
 
 		ex := core.NewExistence(core.Config{Workers: workers})
-		if _, err := opt.run(w.Build(opt.wcfg()), ex, interp.Options{}); err != nil {
+		if _, err := runVM(w.Build(opt.wcfg()), ex, interp.Options{}); err != nil {
 			return nil, nil, fmt.Errorf("%s existence: %w", name, err)
 		}
 		row.RoundRobin = core.Imbalance(ex.Flush().WorkerEvents)

@@ -29,7 +29,7 @@ func Fig9(opt Options) (*report.Table, *Fig9Result, error) {
 	threads := 8
 	p := workloads.WaterSpatial(workloads.Config{Scale: opt.Scale, Threads: threads})
 	prof := core.NewMT(core.Config{Workers: 8, SlotsPerWorker: opt.SlotsPerWorker, Meta: p.Meta, Metrics: Telemetry})
-	if _, err := opt.run(p, prof, interp.Options{Timestamps: true}); err != nil {
+	if _, err := runVM(p, prof, interp.Options{Timestamps: true}); err != nil {
 		return nil, nil, err
 	}
 	res := prof.Flush()

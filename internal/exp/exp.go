@@ -41,24 +41,11 @@ type Options struct {
 	Reps int
 	// Only restricts an experiment to the named workloads (empty = all).
 	Only []string
-	// Producer executes the target programs and emits the access events.
-	// nil selects the bytecode VM; cmd/ddexp -interp substitutes the
-	// reference tree-walking interpreter. Both emit byte-identical
-	// streams, so results differ only in producer-side wall time.
-	Producer interp.Executor
 }
 
-// exec returns the configured producer, defaulting to the bytecode VM.
-func (o Options) exec() interp.Executor {
-	if o.Producer != nil {
-		return o.Producer
-	}
-	return vm.New()
-}
-
-// run executes p under the configured producer.
-func (o Options) run(p *minilang.Program, hook event.Hook, iopt interp.Options) (*interp.RunInfo, error) {
-	return o.exec().Run(p, hook, iopt)
+// runVM executes p on the bytecode VM, feeding its events to hook.
+func runVM(p *minilang.Program, hook event.Hook, iopt interp.Options) (*interp.RunInfo, error) {
+	return vm.New().Run(p, hook, iopt)
 }
 
 // want reports whether a workload participates under the Only filter.
@@ -129,19 +116,13 @@ func replay(c *event.Recorder, p core.Profiler) *core.Result {
 }
 
 // captureRun executes a program once under a recording hook.
-func captureRun(opt Options, p *minilang.Program) (*event.Recorder, *interp.RunInfo, error) {
+func captureRun(p *minilang.Program) (*event.Recorder, *interp.RunInfo, error) {
 	c := event.NewRecorder()
-	info, err := opt.run(p, c, interp.Options{})
+	info, err := runVM(p, c, interp.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
 	return c, info, nil
-}
-
-// captureAndReplayDirect runs a program directly under a profiler hook
-// (no intermediate capture).
-func captureAndReplayDirect(opt Options, p *minilang.Program, prof core.Profiler) (*interp.RunInfo, error) {
-	return opt.run(p, prof, interp.Options{})
 }
 
 // timeRun measures the wall time of fn averaged over reps runs.

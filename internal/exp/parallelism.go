@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ddprof/internal/analysis"
+	"ddprof/internal/interp"
 	"ddprof/internal/report"
 	"ddprof/internal/workloads"
 )
@@ -36,7 +37,7 @@ func Table2(opt Options) (*report.Table, []Table2Row, error) {
 		// Perfect (DP-grade) run.
 		p1 := w.Build(opt.wcfg())
 		dpProf := perfectSerial(p1)
-		info, err := captureAndReplayDirect(opt, p1, dpProf)
+		info, err := runVM(p1, dpProf, interp.Options{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
@@ -46,7 +47,7 @@ func Table2(opt Options) (*report.Table, []Table2Row, error) {
 		// Signature run.
 		p2 := w.Build(opt.wcfg())
 		sigProf := sigSerial(p2, slots)
-		info2, err := captureAndReplayDirect(opt, p2, sigProf)
+		info2, err := runVM(p2, sigProf, interp.Options{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s(sig): %w", w.Name, err)
 		}

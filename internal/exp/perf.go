@@ -35,7 +35,7 @@ func Fig5(opt Options) (*report.Table, []Fig5Row, error) {
 		}
 		row := Fig5Row{Program: w.Name, Suite: w.Suite}
 		native, err := timeRun(opt.Reps, func() error {
-			_, err := opt.run(w.Build(opt.wcfg()), nil, interp.Options{})
+			_, err := runVM(w.Build(opt.wcfg()), nil, interp.Options{})
 			return err
 		})
 		if err != nil {
@@ -47,7 +47,7 @@ func Fig5(opt Options) (*report.Table, []Fig5Row, error) {
 			d, err := timeRun(opt.Reps, func() error {
 				p := w.Build(opt.wcfg())
 				prof := mk(p)
-				if _, err := opt.run(p, prof, interp.Options{}); err != nil {
+				if _, err := runVM(p, prof, interp.Options{}); err != nil {
 					return err
 				}
 				prof.Flush()
@@ -133,7 +133,7 @@ func Fig6(opt Options) (*report.Table, []Fig6Row, error) {
 			continue
 		}
 		native, err := timeRun(opt.Reps, func() error {
-			_, err := opt.run(w.BuildParallel(opt.wcfg()), nil, interp.Options{})
+			_, err := runVM(w.BuildParallel(opt.wcfg()), nil, interp.Options{})
 			return err
 		})
 		if err != nil {
@@ -144,7 +144,7 @@ func Fig6(opt Options) (*report.Table, []Fig6Row, error) {
 			d, err := timeRun(opt.Reps, func() error {
 				p := w.BuildParallel(opt.wcfg())
 				prof := core.NewMT(core.Config{Workers: workers, SlotsPerWorker: opt.SlotsPerWorker, Meta: p.Meta, Metrics: Telemetry})
-				if _, err := opt.run(p, prof, interp.Options{Timestamps: true}); err != nil {
+				if _, err := runVM(p, prof, interp.Options{Timestamps: true}); err != nil {
 					return err
 				}
 				prof.Flush()
@@ -210,7 +210,7 @@ func Fig7(opt Options) (*report.Table, []Fig7Row, error) {
 			// like the paper (6.25e6 x 16 = 1e8 total).
 			perWorker := opt.SlotsPerWorker * 16 / workers
 			prof := core.NewParallel(core.Config{Workers: workers, SlotsPerWorker: perWorker, Meta: p.Meta, Metrics: Telemetry})
-			if _, err := opt.run(p, prof, interp.Options{}); err != nil {
+			if _, err := runVM(p, prof, interp.Options{}); err != nil {
 				return nil, nil, fmt.Errorf("%s %dT: %w", w.Name, workers, err)
 			}
 			res := prof.Flush()
@@ -252,7 +252,7 @@ func Fig8(opt Options) (*report.Table, []Fig7Row, error) {
 			p := w.BuildParallel(opt.wcfg())
 			perWorker := opt.SlotsPerWorker * 16 / workers
 			prof := core.NewMT(core.Config{Workers: workers, SlotsPerWorker: perWorker, Meta: p.Meta, Metrics: Telemetry})
-			if _, err := opt.run(p, prof, interp.Options{Timestamps: true}); err != nil {
+			if _, err := runVM(p, prof, interp.Options{Timestamps: true}); err != nil {
 				return nil, nil, fmt.Errorf("%s %dT: %w", w.Name, workers, err)
 			}
 			res := prof.Flush()
@@ -304,7 +304,7 @@ type StoreRow struct {
 func StoreAblation(opt Options) (*report.Table, []StoreRow, error) {
 	opt = opt.norm()
 	w, _ := workloads.ByName("rgbyuv")
-	cap, _, err := captureRun(opt, w.Build(opt.wcfg()))
+	cap, _, err := captureRun(w.Build(opt.wcfg()))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -45,7 +45,7 @@ func StoreAccuracy(opt Options) (*report.Table, []StoreAccuracyRow, error) {
 			return nil, nil, fmt.Errorf("unknown workload %q", name)
 		}
 		p := w.Build(opt.wcfg())
-		cap, _, err := captureRun(opt, p)
+		cap, _, err := captureRun(p)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", name, err)
 		}

@@ -26,7 +26,7 @@ func Sweep(opt Options, workload string) (*report.Table, []SweepRow, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("unknown workload %q", workload)
 	}
-	cap, _, err := captureRun(opt, w.Build(opt.wcfg()))
+	cap, _, err := captureRun(w.Build(opt.wcfg()))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -43,7 +43,7 @@ func Throughput(opt Options) (*report.Table, []ThroughputRow, error) {
 			continue
 		}
 		p := w.Build(opt.wcfg())
-		c, _, err := captureRun(opt, p)
+		c, _, err := captureRun(p)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s capture: %w", w.Name, err)
 		}

@@ -20,7 +20,7 @@ func TestHotPathByteIdenticalOnSuite(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			p := w.Build(opt.wcfg())
-			cap, _, err := captureRun(Options{}, p)
+			cap, _, err := captureRun(p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,9 +31,6 @@ type ClientOptions struct {
 	MT bool
 	// SchedulerFuzz is passed to the interpreter (ModeMT visibility fuzz).
 	SchedulerFuzz int
-	// Interp records the trace with the reference tree-walking interpreter
-	// instead of the default bytecode VM.
-	Interp bool
 	// FrameBytes sizes the trace writer's serialization buffer — and since
 	// every buffer flush becomes one wire frame, the frame size the daemon
 	// decodes in one batch. Larger frames amortize framing and decode
@@ -42,14 +39,6 @@ type ClientOptions struct {
 	FrameBytes int
 	// Timeout bounds every socket read and write. Default 60s.
 	Timeout time.Duration
-}
-
-// executor selects the event producer for the local recording run.
-func (opt ClientOptions) executor() interp.Executor {
-	if opt.Interp {
-		return interp.TreeWalker{}
-	}
-	return vm.New()
 }
 
 // RemoteResult is the outcome of a remote profiling session.
@@ -243,7 +232,7 @@ func streamTrace(w io.Writer, p *minilang.Program, opt ClientOptions) ([]dep.Loo
 		return nil, 0, fmt.Errorf("server: opening trace stream: %w", err)
 	}
 	cw := trace.NewCompactor(tw)
-	info, err := opt.executor().Run(p, cw, interp.Options{Timestamps: opt.MT, YieldEvery: opt.SchedulerFuzz})
+	info, err := vm.New().Run(p, cw, interp.Options{Timestamps: opt.MT, YieldEvery: opt.SchedulerFuzz})
 	if err != nil {
 		return nil, 0, fmt.Errorf("server: target run: %w", err)
 	}

@@ -101,7 +101,6 @@ func replayTrace(t *testing.T, prof core.Profiler, raw []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type ranged interface{ AccessRange(event.Range) }
 	for {
 		rec, err := tr.NextRecord()
 		if err != nil {
@@ -111,7 +110,7 @@ func replayTrace(t *testing.T, prof core.Profiler, raw []byte) {
 			t.Fatal(err)
 		}
 		if rec.IsRange {
-			prof.(ranged).AccessRange(rec.Range)
+			prof.AccessBatch([]event.Access{{Kind: event.RangeRef}}, []event.Range{rec.Range})
 			continue
 		}
 		prof.Access(rec.Access)

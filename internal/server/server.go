@@ -289,30 +289,36 @@ func (s *Server) Serve(ln net.Listener) error {
 // errRefused marks connects rejected before a session started.
 var errRefused = errors.New("refused")
 
-// handleConn runs one connection to completion.
+// handleConn runs one connection to completion. The session is retired —
+// out of the table, its outcome counted — before its verdict is written, so
+// a client that has seen its verdict always sees a retired session, and the
+// drain's wait group is released only after the verdict is out.
 func (s *Server) handleConn(conn net.Conn) {
-	defer conn.Close()
 	sess, err := s.register(conn)
 	if err != nil {
 		s.cRefused.Inc()
 		// Best-effort error response so the client sees why.
 		conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 		writeResponse(conn, statusErr, []byte(err.Error()))
+		conn.Close()
 		return
 	}
-	defer s.unregister(sess)
 	defer s.sessWG.Done()
+	defer conn.Close()
 
-	if err := s.runSession(sess); err != nil {
-		sess.state.Store(stateEvicted)
-		s.cEvicted.Inc()
+	verdict, err := s.runSession(sess)
+	if err != nil {
+		s.retire(sess, stateEvicted)
 		s.cfg.Logf("ddprofd: session %d (%s): evicted: %v", sess.id, sess.remote, err)
 		conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 		writeResponse(conn, statusErr, []byte(err.Error()))
 		return
 	}
-	sess.state.Store(stateDone)
-	s.cCompleted.Inc()
+	s.retire(sess, stateDone)
+	if err := verdict(); err != nil {
+		s.cfg.Logf("ddprofd: session %d (%s): completed, verdict not delivered: %v", sess.id, sess.remote, err)
+		return
+	}
 	s.cfg.Logf("ddprofd: session %d (%s): completed, %d events, %d bytes in, %d bytes out",
 		sess.id, sess.remote, sess.events.Load(), sess.bytesIn.Load(), sess.bytesOut.Load())
 }
@@ -342,11 +348,21 @@ func (s *Server) register(conn net.Conn) (*session, error) {
 	return sess, nil
 }
 
-func (s *Server) unregister(sess *session) {
+// retire takes a finished session out of the table and counts its outcome
+// (stateDone: completed, stateEvicted: evicted). Table and counter change
+// under one lock, as admission does, so started = completed + evicted +
+// active holds in every snapshot taken under s.mu.
+func (s *Server) retire(sess *session, state int32) {
+	sess.state.Store(state)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	delete(s.sessions, sess.id)
 	s.gActive.Set(int64(len(s.sessions)))
-	s.mu.Unlock()
+	if state == stateEvicted {
+		s.cEvicted.Inc()
+	} else {
+		s.cCompleted.Inc()
+	}
 }
 
 // resolveBackend picks a session's store spec — handshake spec first, then
@@ -582,10 +598,12 @@ func (t *timedConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// runSession executes the protocol over one admitted connection. Any error
-// evicts the session; the pipeline is always flushed so no worker goroutine
-// outlives its session.
-func (s *Server) runSession(sess *session) error {
+// runSession executes the protocol over one admitted connection and returns
+// the write of the session's verdict, which the caller runs once the session
+// is retired. Any error evicts the session; the pipeline is always flushed
+// and the session's workers released before runSession returns, so no
+// worker goroutine outlives its session.
+func (s *Server) runSession(sess *session) (verdict func() error, err error) {
 	tc := &timedConn{Conn: sess.conn, idle: s.cfg.IdleTimeout, sess: sess, srv: s}
 	if rb, ok := sess.conn.(interface{ SetReadBuffer(int) error }); ok {
 		// Best effort: TCP and Unix sockets support it, a test pipe may not.
@@ -595,7 +613,7 @@ func (s *Server) runSession(sess *session) error {
 
 	h, err := readHandshake(br)
 	if err != nil {
-		return fmt.Errorf("handshake: %w", err)
+		return nil, fmt.Errorf("handshake: %w", err)
 	}
 	if h.Watch {
 		return s.runWatch(sess, h, tc)
@@ -639,13 +657,13 @@ func (s *Server) runSession(sess *session) error {
 	}
 	ccfg.Backend, err = s.cfg.resolveBackend(h, max(workers, 1), ccfg.SlotsPerWorker)
 	if err != nil {
-		return fmt.Errorf("session store: %w", err)
+		return nil, fmt.Errorf("session store: %w", err)
 	}
 	prof, err := core.New(ccfg)
 	if err != nil {
 		// A rejected Config here means the daemon's own limits are broken
 		// (handshake values are already clamped); surface it, don't panic.
-		return fmt.Errorf("session pipeline: %w", err)
+		return nil, fmt.Errorf("session pipeline: %w", err)
 	}
 	flushed := false
 	var res *core.Result
@@ -722,11 +740,11 @@ func (s *Server) runSession(sess *session) error {
 		}
 		ing.free <- ib.c
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := ing.err(); err != nil {
-		return fmt.Errorf("trace stream: %w", err)
+		return nil, fmt.Errorf("trace stream: %w", err)
 	}
 
 	sess.state.Store(stateProfiling)
@@ -762,13 +780,15 @@ func (s *Server) runSession(sess *session) error {
 	}
 	var buf bytes.Buffer
 	if err := dep.Encode(&buf, res.Deps, tab, nil); err != nil {
-		return fmt.Errorf("encoding profile: %w", err)
+		return nil, fmt.Errorf("encoding profile: %w", err)
 	}
-	bw := bufio.NewWriterSize(tc, 1<<16)
-	if err := writeResponse(bw, statusOK, buf.Bytes()); err != nil {
-		return fmt.Errorf("writing response: %w", err)
-	}
-	return bw.Flush()
+	return func() error {
+		bw := bufio.NewWriterSize(tc, 1<<16)
+		if err := writeResponse(bw, statusOK, buf.Bytes()); err != nil {
+			return fmt.Errorf("writing response: %w", err)
+		}
+		return bw.Flush()
+	}, nil
 }
 
 // feedBatch validates one decoded batch and feeds it to the pipeline's bulk
@@ -827,14 +847,14 @@ func feedBatch(prof core.Profiler, marker core.EpochMarker, b ingestBatch, epoch
 // to the socket as it is cut, so subscribers see deltas while the session is
 // still ingesting. A subscriber that cannot keep up is evicted rather than
 // allowed to backpressure the profiling session.
-func (s *Server) runWatch(sess *session, h *handshake, tc *timedConn) error {
+func (s *Server) runWatch(sess *session, h *handshake, tc *timedConn) (verdict func() error, err error) {
 	sess.workers.Store(0)
 	if h.WatchSince > uint64(^uint32(0)) {
-		return fmt.Errorf("watch: epoch %d overflows uint32", h.WatchSince)
+		return nil, fmt.Errorf("watch: epoch %d overflows uint32", h.WatchSince)
 	}
 	o, err := s.findObservatory(h.WatchSession, s.cfg.IdleTimeout)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	catch, sub, done := o.subscribe(uint32(h.WatchSince))
 	defer o.unsubscribe(sub)
@@ -842,7 +862,7 @@ func (s *Server) runWatch(sess *session, h *handshake, tc *timedConn) error {
 	sess.state.Store(stateResponding)
 	bw := bufio.NewWriterSize(tc, 1<<16)
 	if _, err := bw.Write([]byte{statusOK}); err != nil {
-		return fmt.Errorf("watch: %w", err)
+		return nil, fmt.Errorf("watch: %w", err)
 	}
 	dw := trace.NewDeltaWriter(bw)
 	send := func(f obsFrame) error {
@@ -860,14 +880,14 @@ func (s *Server) runWatch(sess *session, h *handshake, tc *timedConn) error {
 	sawFinal := false
 	if catch != nil {
 		if err := send(*catch); err != nil {
-			return err
+			return nil, err
 		}
 		sawFinal = catch.Final
 	}
 	if !done {
 		for f := range sub.ch {
 			if err := send(f); err != nil {
-				return err
+				return nil, err
 			}
 			if f.Final {
 				sawFinal = true
@@ -878,14 +898,16 @@ func (s *Server) runWatch(sess *session, h *handshake, tc *timedConn) error {
 		// The stream closed without a final frame while the session lives on
 		// (or finished past us): this subscriber fell behind and was evicted
 		// from the fan-out.
-		return errors.New("watch: subscriber fell behind, evicted")
+		return nil, errors.New("watch: subscriber fell behind, evicted")
 	}
 	// An aborted session ends the stream with a clean terminator but no
 	// frame marked final; the client knows no exact profile exists.
-	if err := dw.Close(); err != nil {
-		return fmt.Errorf("watch: %w", err)
-	}
-	return bw.Flush()
+	return func() error {
+		if err := dw.Close(); err != nil {
+			return fmt.Errorf("watch: %w", err)
+		}
+		return bw.Flush()
+	}, nil
 }
 
 // Sessions snapshots the live session table, ordered by ID.
@@ -1044,8 +1066,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // Shutdown drains the daemon: listeners close immediately (new connects are
 // refused), in-flight sessions run to completion, and when ctx expires the
-// remaining connections are force-closed. It returns nil if every session
-// finished in time, ctx.Err() otherwise.
+// connections of sessions still in the table are force-closed. A retired
+// session still writing its verdict is not in the table; the idle deadline
+// bounds that write. It returns nil if every session finished in time,
+// ctx.Err() otherwise.
 func (s *Server) Shutdown(ctx context.Context) error {
 	// The flight recorder stops only after the drain below: its final sample
 	// must capture the fully drained end state (completed-session counters,

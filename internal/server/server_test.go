@@ -268,6 +268,83 @@ func assertMetricPositive(t *testing.T, body, name string) {
 	t.Errorf("metric %s missing from exposition:\n%s", name, body)
 }
 
+// TestVerdictImpliesRetired pins the daemon's lifecycle invariant: once a
+// client holds its verdict — a profile or an eviction notice — its session
+// is out of the table and counted, and the session counters conserve
+// (started = completed + evicted + active), over sequential and concurrent
+// sessions alike.
+func TestVerdictImpliesRetired(t *testing.T) {
+	srv := New(Config{WorkerBudget: 4, WorkersPerSession: 2, Registry: telemetry.NewRegistry()})
+	ln := listenTCP(t)
+	go srv.Serve(ln)
+	defer srv.Shutdown(context.Background())
+
+	// retired checks the invariant for the client whose connection has the
+	// given local address (the daemon's remote address for its session).
+	retired := func(client string) error {
+		for _, si := range srv.Sessions() {
+			if si.Remote == client {
+				return fmt.Errorf("session %d of %s still in the table (state %s) after its verdict", si.ID, client, si.State)
+			}
+		}
+		srv.mu.Lock()
+		started, completed, evicted := srv.cAccepted.Load(), srv.cCompleted.Load(), srv.cEvicted.Load()
+		active := uint64(len(srv.sessions))
+		srv.mu.Unlock()
+		if started != completed+evicted+active {
+			return fmt.Errorf("started %d != completed %d + evicted %d + active %d", started, completed, evicted, active)
+		}
+		return nil
+	}
+	session := func(i int) error {
+		conn, err := Dial(ln.Addr().String())
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		client := conn.LocalAddr().String()
+		if i%5 == 4 {
+			// A garbage preamble: the verdict is an eviction notice.
+			conn.Write([]byte("garbage!"))
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if status, _, err := readResponse(bufio.NewReader(conn)); err != nil || status != statusErr {
+				return fmt.Errorf("garbage client %d: status %d, err %v; want an error verdict", i, status, err)
+			}
+		} else if _, err := ProfileRemote(conn, testProgram(fmt.Sprintf("retire%d", i), 20+i), ClientOptions{Workers: 2, Backend: "perfect"}); err != nil {
+			return fmt.Errorf("client %d: %w", i, err)
+		}
+		return retired(client)
+	}
+
+	for i := 0; i < 25; i++ {
+		if err := session(i); err != nil {
+			t.Fatalf("sequential: %v", err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if err := session(100*(c+1) + i); err != nil {
+					errs <- fmt.Errorf("concurrent: %w", err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := srv.ActiveSessions(); n != 0 {
+		t.Errorf("%d sessions active after every client holds its verdict", n)
+	}
+}
+
 // TestMTRemoteSession profiles a multi-threaded target remotely: the trace is
 // recorded through a SyncWriter and the daemon runs with race checking.
 func TestMTRemoteSession(t *testing.T) {
