@@ -105,9 +105,11 @@ bench-gate:
 	$(GO) test -run=^$$ -bench=BenchmarkRemoteIngest -benchtime=2s -count=3 ./internal/server/ \
 		| $(GO) run ./cmd/ddexp -bench-compare remote benchjson
 
-# Short fuzz pass over the hardened decoders (trace, framing, server), the
-# dependence-set fast-update API the instance cache relies on, and the
-# backend spec parser every -backend flag and DDT1 handshake goes through.
+# Short fuzz pass over every fuzzer: the hardened decoders (trace, framing,
+# handshake, whole daemon sessions, the binary profile codec, the text
+# dependence parser, the minilang parser), the dependence-set fast-update and
+# merge APIs, the backend spec parser every -backend flag and DDT1 handshake
+# goes through, and the VM-vs-interpreter differential.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzBackendSpec -fuzztime=10s ./internal/sig/
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=10s ./internal/trace/
@@ -116,6 +118,10 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzNextBatch -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaFrame -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzHandshake -fuzztime=10s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=^FuzzSession$$ -fuzztime=10s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=^FuzzParseProgram$$ -fuzztime=10s ./internal/minilang/
+	$(GO) test -run=^$$ -fuzz=^FuzzParse$$ -fuzztime=10s ./internal/dep/
+	$(GO) test -run=^$$ -fuzz=^FuzzDecode$$ -fuzztime=10s ./internal/dep/
 	$(GO) test -run=^$$ -fuzz=FuzzFastUpdate -fuzztime=10s ./internal/dep/
 	$(GO) test -run=^$$ -fuzz=FuzzSetMergeEquivalence -fuzztime=10s ./internal/dep/
 	$(GO) test -run=^$$ -fuzz=FuzzVMEquivalence -fuzztime=10s ./internal/vm/

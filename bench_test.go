@@ -557,7 +557,9 @@ func buildMergeShards(workers, distinct, overlapPct int) []*dep.Set {
 // BenchmarkMerge measures the end-of-run merge stage in isolation: folding W
 // per-worker dependence sets into one profile, serial fold (the old
 // pipeline.merge loop — accumulate into a fresh set one worker at a time)
-// against the parallel tree reduction (dep.MergeShards) now on that path.
+// against the parallel tree reduction. The tree side calls dep.MergeShards,
+// which is dep.TreeMerge over plain sets — the same reduction the pipeline's
+// merge stage runs over its set-plus-loop-aggregate pairs.
 // The matrix spans worker count, distinct-dependence population and the
 // overlap ratio between shards; events/s counts merged source entries, so
 // the two modes are directly comparable per configuration. `make

@@ -55,7 +55,7 @@ func run() int {
 		out     = flag.String("o", "", "write the dependence dump to a file instead of stdout")
 		format  = flag.String("format", "text", "dump format: text (Figure 1/3) | binary")
 		remote  = flag.String("remote", "", "profile on a ddprofd daemon: host:port or unix:/path.sock")
-		frameKB = flag.Int("framebytes", 0, "with -remote: wire frame size in bytes (one trace-buffer flush = one frame; 0 = 64KiB default, capped by the daemon's -max-frame)")
+		frameKB = flag.Int("framebytes", 0, "with -remote: wire frame size in bytes (one trace-buffer flush = one frame; 0 = 64KiB default; the daemon rejects frames above its fixed 1MiB cap)")
 		watch   = flag.Bool("watch", false, "with -remote: subscribe to a session's live epoch-delta stream instead of profiling")
 		watchID = flag.Uint64("watch-session", 0, "with -watch: daemon session to observe (0 = newest active, waiting for the next when none is)")
 		watchAt = flag.Uint64("watch-since", 0, "with -watch: catch up from this epoch (0 = the full profile so far)")

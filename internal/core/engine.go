@@ -45,8 +45,9 @@ type Engine struct {
 	loops map[prog.LoopID]*loopAgg
 	// raceCheck enables timestamp-reversal detection (MT-target mode).
 	raceCheck bool
-	// noCache disables the instance cache (A/B measurement and the
-	// fast-vs-slow equivalence suite; output is identical either way).
+	// noCache disables the instance cache: the reference engine the
+	// equivalence suites hold every pipeline to (output is identical either
+	// way).
 	noCache bool
 	// epoch is the current epoch-clock reading, stamped onto per-loop
 	// aggregate tables created from now on (the dependence set carries its
@@ -130,7 +131,8 @@ func NewEngine(store sig.Store, meta *prog.Meta, raceCheck bool) *Engine {
 	}
 }
 
-// DisableCache switches the engine to the slow (map-per-instance) path.
+// DisableCache switches the engine to the slow (map-per-instance) path, the
+// reference the hot-path equivalence tests compare every pipeline against.
 // Must be called before the first Process.
 func (e *Engine) DisableCache() { e.noCache = true }
 
@@ -294,18 +296,6 @@ func (e *Engine) record(k dep.Key, t dep.Type, carriedAt prog.LoopID, reduction,
 	}
 	if ent != nil {
 		ent.loop, ent.agg, ent.ck = carriedAt, agg, ck
-	}
-}
-
-// ProcessChunk runs every event of a chunk through the engine, expanding
-// RangeRef slots through the bulk range path at their position.
-func (e *Engine) ProcessChunk(c *event.Chunk) {
-	for i := range c.Events {
-		if c.Events[i].Kind == event.RangeRef {
-			e.ProcessRange(&c.Ranges[c.Events[i].Addr])
-			continue
-		}
-		e.Process(c.Events[i])
 	}
 }
 

@@ -85,11 +85,10 @@ func NewExistence(cfg Config) *Existence {
 	e.pl.m = cfg.Metrics
 	for i := 0; i < cfg.Workers; i++ {
 		e.pl.workers = append(e.pl.workers, &worker{
-			id:          i,
-			tr:          newChunkTransport(cfg.LockBased, cfg.QueueCap),
-			ex:          &existSink{lines: make(map[uint64]*lineSets)},
-			m:           cfg.Metrics,
-			sampleEvery: uint64(cfg.SampleEvery),
+			id: i,
+			tr: newChunkTransport(cfg.LockBased, cfg.QueueCap),
+			ex: &existSink{lines: make(map[uint64]*lineSets)},
+			m:  cfg.Metrics,
 		})
 	}
 	e.pl.startAll()

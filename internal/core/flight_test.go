@@ -13,29 +13,13 @@ import (
 	"ddprof/internal/telemetry"
 )
 
-func TestSampleEveryValidation(t *testing.T) {
-	if _, err := New(Config{Mode: ModeParallel, SampleEvery: -1, Backend: "perfect"}); err == nil {
-		t.Fatal("negative SampleEvery accepted")
-	}
-	cfg, err := Config{}.normalize(ModeParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.SampleEvery != 32 {
-		t.Fatalf("default SampleEvery = %d, want 32", cfg.SampleEvery)
-	}
-}
-
 func TestParallelStageHistograms(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pipe := reg.Pipeline("t")
-	p := NewParallel(Config{
-		Workers:     2,
-		Backend:     "perfect",
-		Metrics:     pipe,
-		SampleEvery: 1, // time every chunk so a small stream populates all stages
-	})
-	for _, a := range synthStream(100000, 500, 7) {
+	p := NewParallel(Config{Workers: 2, Backend: "perfect", Metrics: pipe})
+	// Enough chunks that each worker times at least one in sampleEvery
+	// batches.
+	for _, a := range synthStream(400000, 500, 7) {
 		p.Access(a)
 	}
 	p.Flush()
@@ -167,5 +151,109 @@ func TestTrackAccuracyExactStoreUnaffected(t *testing.T) {
 	s.Flush()
 	if pipe.SigFPRMeasuredPPM[0].Load() != 0 {
 		t.Error("accuracy gauge published for an exact store")
+	}
+}
+
+// TestEventsEqualAccesses: events_total counts the logical accesses a
+// pipeline ingests, so after Flush it equals Stats.Accesses — and the
+// stream's true access count — in every mode and through every ingest shape:
+// repeated reads the filters collapse, pre-collapsed Rep>0 points, ranges the
+// producer splits or re-compresses, and Remove records, which count nothing.
+func TestEventsEqualAccesses(t *testing.T) {
+	x, y := uint64(0x8000), uint64(0x8008)
+	rd := func(addr uint64, line int) event.Access {
+		return event.Access{Addr: addr, Kind: event.Read, Loc: loc.Pack(1, line)}
+	}
+	wr := func(addr uint64, line int) event.Access {
+		return event.Access{Addr: addr, Kind: event.Write, Loc: loc.Pack(1, line)}
+	}
+	// An input is one or more batches; a batch of one point with no ranges
+	// goes through Access, everything else through AccessBatch.
+	type batch struct {
+		evs    []event.Access
+		ranges []event.Range
+	}
+	var perEvent []batch
+	perEvent = append(perEvent, batch{evs: []event.Access{wr(x, 1)}})
+	for i := 0; i < 5000; i++ {
+		perEvent = append(perEvent, batch{evs: []event.Access{rd(x, 2)}}) // collapsed by the filters
+	}
+	for i := 0; i < 5000; i++ {
+		perEvent = append(perEvent, batch{evs: []event.Access{wr(0x10000+8*uint64(i), 3)}}) // strided
+	}
+	rep := func(a event.Access, n uint16) event.Access { a.Rep = n; return a }
+	var repBatch []event.Access
+	for i := 0; i < 3000; i++ {
+		a := 0x20000 + 8*uint64(i%64)
+		repBatch = append(repBatch, wr(a, 4), rep(rd(a, 5), 7), rep(rd(y, 6), 2))
+	}
+	strided := event.Range{Base: 0x40000, Stride: 8, Count: 20000, Kind: event.Read, Loc: loc.Pack(1, 7)}
+	short := event.Range{Base: 0x90000, Stride: 24, Count: 3, Kind: event.Write, Loc: loc.Pack(1, 8)}
+	ranges := []batch{{
+		evs:    []event.Access{wr(x, 9), {Kind: event.RangeRef, Addr: 0}, rd(x, 10), {Kind: event.RangeRef, Addr: 1}},
+		ranges: []event.Range{strided, short},
+	}}
+	var removes []batch
+	for i := 0; i < 4000; i++ {
+		a := 0x50000 + 8*uint64(i%100)
+		removes = append(removes, batch{evs: []event.Access{wr(a, 11), rd(a, 12), {Addr: a, Kind: event.Remove}}})
+	}
+	inputs := []struct {
+		name    string
+		batches []batch
+	}{
+		{"per-event", perEvent},
+		{"rep-batch", []batch{{evs: repBatch}}},
+		{"ranges", ranges},
+		{"removes", removes},
+	}
+	logical := func(bs []batch) uint64 {
+		var n uint64
+		for _, b := range bs {
+			for _, a := range b.evs {
+				switch a.Kind {
+				case event.Read, event.Write:
+					n += 1 + uint64(a.Rep)
+				case event.RangeRef:
+					n += uint64(b.ranges[a.Addr].Count)
+				}
+			}
+		}
+		return n
+	}
+	modes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"serial", Config{Mode: ModeSerial}},
+		{"parallel", Config{Mode: ModeParallel, Workers: 2}},
+		{"parallel-nostride", Config{Mode: ModeParallel, Workers: 2, NoStrideCompression: true}},
+		{"mt", Config{Mode: ModeMT, Workers: 2}},
+	}
+	for _, in := range inputs {
+		want := logical(in.batches)
+		for _, md := range modes {
+			pipe := telemetry.NewRegistry().Pipeline("t")
+			cfg := md.cfg
+			cfg.Backend, cfg.Metrics = "perfect", pipe
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range in.batches {
+				if len(b.evs) == 1 && len(b.ranges) == 0 {
+					p.Access(b.evs[0])
+				} else {
+					p.AccessBatch(b.evs, b.ranges)
+				}
+			}
+			res := p.Flush()
+			if res.Stats.Accesses != want {
+				t.Errorf("%s/%s: Stats.Accesses = %d, want %d", in.name, md.name, res.Stats.Accesses, want)
+			}
+			if got := pipe.Events.Load(); got != res.Stats.Accesses {
+				t.Errorf("%s/%s: events_total = %d, Stats.Accesses = %d", in.name, md.name, got, res.Stats.Accesses)
+			}
+		}
 	}
 }

@@ -99,19 +99,15 @@ func newMT(cfg Config) (*MT, error) {
 	m.pl.m = cfg.Metrics
 	for i := 0; i < cfg.Workers; i++ {
 		eng := NewEngine(stores[i], cfg.Meta, true)
-		if cfg.NoFastPath {
-			eng.DisableCache()
-		}
 		if cfg.TrackBounds {
 			eng.EnableBoundsTracking()
 		}
 		m.pl.workers = append(m.pl.workers, &worker{
-			id:          i,
-			tr:          newAccessTransport(cfg.QueueCap, !cfg.NoFastPath),
-			eng:         eng,
-			m:           cfg.Metrics,
-			sampleEvery: uint64(cfg.SampleEvery),
-			onDelta:     cfg.OnEpochDelta,
+			id:      i,
+			tr:      newAccessTransport(cfg.QueueCap),
+			eng:     eng,
+			m:       cfg.Metrics,
+			onDelta: cfg.OnEpochDelta,
 			// events_total is counted here on the consumer side, one batched
 			// Add per drain: the concurrent producers of §V must not pay a
 			// shared atomic per access.

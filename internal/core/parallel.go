@@ -43,19 +43,15 @@ func newParallel(cfg Config) (*Parallel, error) {
 	p.pl.m = cfg.Metrics
 	for i := 0; i < cfg.Workers; i++ {
 		eng := NewEngine(stores[i], cfg.Meta, cfg.RaceCheck)
-		if cfg.NoFastPath {
-			eng.DisableCache()
-		}
 		if cfg.TrackBounds {
 			eng.EnableBoundsTracking()
 		}
 		p.pl.workers = append(p.pl.workers, &worker{
-			id:          i,
-			tr:          newChunkTransport(cfg.LockBased, cfg.QueueCap),
-			eng:         eng,
-			m:           cfg.Metrics,
-			sampleEvery: uint64(cfg.SampleEvery),
-			onDelta:     cfg.OnEpochDelta,
+			id:      i,
+			tr:      newChunkTransport(cfg.LockBased, cfg.QueueCap),
+			eng:     eng,
+			m:       cfg.Metrics,
+			onDelta: cfg.OnEpochDelta,
 		})
 	}
 	p.pl.startAll()

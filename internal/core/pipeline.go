@@ -130,12 +130,6 @@ func (c Config) normalize(mode Mode) (Config, error) {
 	if c.RedistributeEvery < 0 {
 		return c, fmt.Errorf("core: RedistributeEvery = %d; want >= 1 chunks, or 0 to disable redistribution", c.RedistributeEvery)
 	}
-	if c.SampleEvery < 0 {
-		return c, fmt.Errorf("core: SampleEvery = %d; want >= 1, or 0 for the default", c.SampleEvery)
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 32
-	}
 	return c, nil
 }
 
@@ -263,16 +257,14 @@ type accessTransport struct {
 	in *queue.MPSC[event.Access]
 	// consumer-owned; read by the merge stage after the flush barrier.
 	batch     []event.Access
-	collapse  bool
 	collapsed uint64
 	maxDepth  int64
 }
 
-func newAccessTransport(qcap int, collapse bool) *accessTransport {
+func newAccessTransport(qcap int) *accessTransport {
 	return &accessTransport{
-		in:       queue.NewMPSC[event.Access](qcap),
-		batch:    make([]event.Access, 0, accessBatch),
-		collapse: collapse,
+		in:    queue.NewMPSC[event.Access](qcap),
+		batch: make([]event.Access, 0, accessBatch),
 	}
 }
 
@@ -291,7 +283,7 @@ func (t *accessTransport) pop() ([]event.Access, []event.Range, *event.Chunk, bo
 		if !ok {
 			break
 		}
-		if t.collapse && a.Kind == event.Read && len(b) > 0 {
+		if a.Kind == event.Read && len(b) > 0 {
 			// Collapse a read identical to the previous batched event into
 			// its repetition count. Equality covers the timestamp, so with
 			// real MT timestamps the filter never merges distinct accesses;
@@ -359,16 +351,15 @@ type worker struct {
 	installIn atomic.Pointer[migState] // state published to worker
 
 	// flight-recorder state, all worker-local. m is the telemetry sink (nil
-	// disables everything); sampleEvery the 1/N stage-timing rate. One in
-	// sampleEvery batches is timed (StageWorkerNs), as is the wait of one in
-	// sampleEvery idle episodes (StageTransportWaitNs). countEvents selects
+	// disables everything). One in sampleEvery batches is timed
+	// (StageWorkerNs), as is the wait of one in sampleEvery idle episodes
+	// (StageTransportWaitNs). countEvents selects
 	// consumer-side events_total accounting (MT mode, whose concurrent
 	// producers must not share an atomic counter): one Add per drained batch
 	// instead of one per access. The pub* fields are publication watermarks so
 	// periodic in-flight publication and the final merge-time publication add
 	// disjoint deltas to the same counters.
 	m           *telemetry.Pipeline
-	sampleEvery uint64
 	countEvents bool
 	batches     uint64
 	waits       uint64
@@ -384,6 +375,12 @@ type worker struct {
 type accuracyStore interface {
 	Accuracy() (sig.AccuracyStats, bool)
 }
+
+// sampleEvery is the stage-latency sampling rate: one in sampleEvery chunk
+// pushes, worker batches and idle episodes is timed into the Metrics
+// histograms. Sampling (rather than timing every chunk) is what keeps the
+// flight recorder inside the bench gate's throughput budget.
+const sampleEvery = 32
 
 // telemetryPublishEvery is the worker-batch cadence of in-flight telemetry
 // publication (dep-cache counters, live accuracy): frequent enough that
@@ -447,7 +444,7 @@ func (w *worker) run() {
 		evs, rngs, c, ok := w.tr.pop()
 		if !ok {
 			if idle == 0 && w.m != nil {
-				if w.waits++; w.waits%w.sampleEvery == 0 {
+				if w.waits++; w.waits%sampleEvery == 0 {
 					waiting = true
 					waitT0 = time.Now()
 				}
@@ -463,7 +460,7 @@ func (w *worker) run() {
 		idle = 0
 		var done bool
 		w.batches++
-		if w.m != nil && w.batches%w.sampleEvery == 0 {
+		if w.m != nil && w.batches%sampleEvery == 0 {
 			t0 := time.Now()
 			done = w.process(evs, rngs)
 			w.m.StageWorkerNs.Observe(time.Since(t0).Nanoseconds())
@@ -626,7 +623,7 @@ const chunkBytes = event.ChunkSize*48 + event.MaxRangesPerChunk*64 + 64
 // "This step incurs only minor overhead since the local maps are free of
 // duplicates" (§IV) — true for one process, not for a daemon draining
 // sessions with millions of distinct dependences across many workers, so the
-// fold is a parallel tree reduction (see mergeTree) instead of a serial
+// fold is a parallel tree reduction (dep.TreeMerge) instead of a serial
 // loop. Loop aggregates merge at key-set granularity: the same carried key
 // may surface on several workers (same source lines, different addresses)
 // and must not be double-counted.
@@ -675,7 +672,7 @@ func (p *pipeline) merge(stats RunStats, queueBytes uint64, sumAccesses bool) *R
 		}
 		publishStoreTelemetry(p.m, stores...)
 	}
-	root := mergeTree(nodes)
+	root := dep.TreeMerge(nodes)
 	res.Deps = root.deps
 	res.Loops = loopDepsOf(root.aggs)
 	res.Carried = carriedKeysOf(root.aggs)
@@ -686,77 +683,21 @@ func (p *pipeline) merge(stats RunStats, queueBytes uint64, sumAccesses bool) *R
 }
 
 // mergeNode pairs one reduction operand's dependence set with its loop
-// aggregates so both fold at the same tree level.
+// aggregates so both fold at the same tree level of dep.TreeMerge.
 type mergeNode struct {
 	deps *dep.Set
 	aggs map[prog.LoopID]*loopAgg
 }
 
-// mergeTree unions the worker results by parallel tree reduction: each round
-// merges adjacent pairs concurrently, halving the live set, so end-of-run
-// latency is O(log W) rounds instead of the serial fold's O(W) — and each
-// round's pair merges run on their own goroutines, putting the idle cores
-// that just finished consuming events back to work. Rounds write into a
-// fresh slice (never in place) so no goroutine reads a slot another is
-// writing. The per-dependence and per-loop-key folds are commutative and
-// associative, so the tree's result is exactly the serial fold's; the core
-// equivalence tests and the dep package's merge fuzzer pin that.
-func mergeTree(nodes []*mergeNode) *mergeNode {
-	if len(nodes) == 0 {
-		return &mergeNode{deps: dep.NewSet(), aggs: make(map[prog.LoopID]*loopAgg)}
-	}
-	// On a single processor the rounds cannot overlap and the tree re-folds
-	// a pair's entries at every level it survives; a flat fold into the
-	// largest worker's set does strictly less work, so take that path.
-	if runtime.GOMAXPROCS(0) == 1 {
-		big := 0
-		for i, n := range nodes {
-			if n.deps.Unique() > nodes[big].deps.Unique() {
-				big = i
-			}
-		}
-		acc := nodes[big]
-		for i, n := range nodes {
-			if i != big {
-				acc.deps.Merge(n.deps)
-				n.deps.Release()
-				mergeLoopAggs(acc.aggs, n.aggs)
-			}
-		}
-		return acc
-	}
-	for len(nodes) > 1 {
-		half := len(nodes) / 2
-		next := make([]*mergeNode, half, half+1)
-		var wg sync.WaitGroup
-		for i := 0; i < half; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				next[i] = mergePairNodes(nodes[2*i], nodes[2*i+1])
-			}(i)
-		}
-		wg.Wait()
-		if len(nodes)%2 == 1 {
-			next = append(next, nodes[len(nodes)-1])
-		}
-		nodes = next
-	}
-	return nodes[0]
-}
+// Unique implements dep.Shard: the dependence set's size ranks the pair.
+func (n *mergeNode) Unique() int { return n.deps.Unique() }
 
-// mergePairNodes folds the smaller dependence set into the larger (stealing
-// the big one as accumulator minimizes Ref misses and index regrows) and
-// releases the consumed set's slab pages for reuse. Loop aggregates fold the
-// same direction; both folds are order-insensitive.
-func mergePairNodes(a, b *mergeNode) *mergeNode {
-	if b.deps.Unique() > a.deps.Unique() {
-		a, b = b, a
-	}
-	a.deps.Merge(b.deps)
-	b.deps.Release()
-	mergeLoopAggs(a.aggs, b.aggs)
-	return a
+// Absorb implements dep.Shard: the dependence sets fold (releasing o's slab
+// pages for reuse), and the loop aggregates fold the same direction; both
+// folds are order-insensitive.
+func (n *mergeNode) Absorb(o *mergeNode) {
+	n.deps.Absorb(o.deps)
+	mergeLoopAggs(n.aggs, o.aggs)
 }
 
 // ownerOf is the modulo rule of Equation 1. The paper uses `address % W` on
@@ -854,7 +795,6 @@ type producer struct {
 	instr []instrEntry
 	own   []ownerState
 
-	noFast            bool
 	redistributeEvery int
 	// seedPromote is set when the worker stores have an exact heavy-hitter
 	// tier (sig.Promoter): the producer then keeps its sketch warm and seeds
@@ -865,14 +805,14 @@ type producer struct {
 	chunksSinceCheck    int
 	allocatedChunks     uint64
 	stats               RunStats
+	eventsPublished     uint64
 	dupPublished        uint64
 	rangesPublished     uint64
 	rangeElemsPublished uint64
 	m                   *telemetry.Pipeline
-	// sampleEvery / pushCtr: one in sampleEvery chunk pushes is timed into
-	// StageProduceNs (push incl. backpressure, depth gauge, chunk refill).
-	sampleEvery uint64
-	pushCtr     uint64
+	// pushCtr: one in sampleEvery chunk pushes is timed into StageProduceNs
+	// (push incl. backpressure, depth gauge, chunk refill).
+	pushCtr uint64
 }
 
 // init wires the producer to its pipeline. rr selects round-robin dealing
@@ -882,17 +822,12 @@ func (pr *producer) init(pl *pipeline, cfg *Config, rr bool) {
 	pr.w = cfg.Workers
 	pr.wMask = powerOfTwoMask(cfg.Workers)
 	pr.rr = rr
-	pr.noFast = cfg.NoFastPath
 	if !rr {
 		// Round-robin dealing is already perfectly balanced; redistribution
 		// only applies to address-owned routing.
 		pr.redistributeEvery = cfg.RedistributeEvery
 	}
 	pr.m = cfg.Metrics
-	pr.sampleEvery = uint64(cfg.SampleEvery)
-	if pr.sampleEvery == 0 {
-		pr.sampleEvery = 32 // init called with an unnormalized Config in tests
-	}
 	pr.redirect = make(map[uint64]int)
 	if !rr {
 		pr.heavy = newHeavySketch(64)
@@ -1004,7 +939,7 @@ func (pr *producer) put(a event.Access) {
 		}
 	}
 	c := pr.open[w]
-	if a.Kind == event.Read && !pr.noFast {
+	if a.Kind == event.Read {
 		// Duplicate filter: a read identical to the slot's previous event
 		// (same statement re-reading the same word within one iteration) is
 		// collapsed into that event's repetition count. Any intervening
@@ -1037,7 +972,6 @@ func (pr *producer) put(a event.Access) {
 		slot := int32(c.Len() - 1)
 		pr.lastIdx[w] = int(slot)
 		pr.own[w].noteTouch(a.Addr, slot)
-		pr.own[w].pending++
 		ent.lastSlot = slot
 	} else {
 		c.Append(a)
@@ -1046,7 +980,6 @@ func (pr *producer) put(a event.Access) {
 			// Removes (and any Rep-carrying event) still update the touch
 			// table: nothing before them may be reordered across them.
 			pr.own[w].noteTouch(a.Addr, int32(c.Len()-1))
-			pr.own[w].pending++
 		}
 	}
 	if c.Full() {
@@ -1137,7 +1070,7 @@ func (pr *producer) pushOpen(w int) {
 	var produceT0 time.Time
 	timed := false
 	if pr.m != nil {
-		if pr.pushCtr++; pr.pushCtr%pr.sampleEvery == 0 {
+		if pr.pushCtr++; pr.pushCtr%sampleEvery == 0 {
 			timed = true
 			produceT0 = time.Now()
 		}
@@ -1147,14 +1080,10 @@ func (pr *producer) pushOpen(w int) {
 		tgt = pr.next
 		pr.next = (pr.next + 1) % len(pr.pl.workers)
 	}
-	n := uint64(c.Len())
 	if pr.comp {
-		// Ranges make slot count ≠ event count: publish the logical access
-		// tally instead, and open a fresh touch-table generation — pushed
-		// chunks are immutable, so nothing in them may be merged into again.
+		// Open a fresh touch-table generation: pushed chunks are immutable,
+		// so nothing in them may be merged into again.
 		os := &pr.own[w]
-		n = os.pending
-		os.pending = 0
 		os.epoch++
 		os.floor = -1
 	}
@@ -1162,15 +1091,8 @@ func (pr *producer) pushOpen(w int) {
 	tw.tr.pushChunk(c)
 	pr.stats.Chunks++
 	if pr.m != nil {
-		pr.m.Events.Add(n)
 		pr.m.Chunks.Inc()
-		if d := pr.stats.DupCollapsed - pr.dupPublished; d > 0 {
-			pr.m.DupCollapsed.Add(d)
-			pr.dupPublished = pr.stats.DupCollapsed
-		}
-		if pr.comp {
-			pr.publishRangeTelemetry()
-		}
+		pr.publishCounters()
 		// Depth right after the push; the pushed chunk may already have been
 		// consumed, so count it in to keep the gauge a lower bound of the
 		// burst the worker saw.
@@ -1280,13 +1202,31 @@ func (pr *producer) drainFlush() {
 		pr.stats.ControlChunks++
 	}
 	if pr.m != nil {
-		if d := pr.stats.DupCollapsed - pr.dupPublished; d > 0 {
-			pr.m.DupCollapsed.Add(d)
-			pr.dupPublished = pr.stats.DupCollapsed
-		}
-		if pr.comp {
-			pr.publishRangeTelemetry()
-		}
+		pr.publishCounters()
 	}
 	pr.publishCompressionState()
+}
+
+// publishCounters pushes the producer's counter deltas to telemetry; called
+// at chunk-push cadence and once more at flush. Events is the logical access
+// count, Stats.Accesses: a collapsed read counts its whole multiplicity and a
+// range its element count, whatever slot they occupy, and control and Remove
+// slots count nothing.
+func (pr *producer) publishCounters() {
+	if d := pr.stats.Accesses - pr.eventsPublished; d > 0 {
+		pr.m.Events.Add(d)
+		pr.eventsPublished = pr.stats.Accesses
+	}
+	if d := pr.stats.DupCollapsed - pr.dupPublished; d > 0 {
+		pr.m.DupCollapsed.Add(d)
+		pr.dupPublished = pr.stats.DupCollapsed
+	}
+	if d := pr.stats.Ranges - pr.rangesPublished; d > 0 {
+		pr.m.Ranges.Add(d)
+		pr.rangesPublished = pr.stats.Ranges
+	}
+	if d := pr.stats.RangeElements - pr.rangeElemsPublished; d > 0 {
+		pr.m.RangeElements.Add(d)
+		pr.rangeElemsPublished = pr.stats.RangeElements
+	}
 }

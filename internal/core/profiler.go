@@ -126,22 +126,12 @@ type Config struct {
 	// (paper: 50,000); in MT mode, every N×ChunkSize accesses, keeping the
 	// cadence comparable across modes. 0 disables redistribution.
 	RedistributeEvery int
-	// NoFastPath disables the hot-path optimizations — the engines' instance
-	// cache and the duplicate-read filter. The profile is byte-identical
-	// either way (the equivalence suite holds both paths to that); the flag
-	// exists for A/B measurement (exp.Throughput) and tests.
-	NoFastPath bool
 	// Metrics, when non-nil, receives live pipeline telemetry (events in,
 	// queue depths, chunk recycling, redistributions, signature occupancy,
 	// stage latency histograms). Counters are bumped at chunk granularity so
-	// the hot path stays cheap; nil costs nothing.
+	// the hot path stays cheap, and stage latencies are timed for one in
+	// sampleEvery chunks; nil costs nothing.
 	Metrics *telemetry.Pipeline
-	// SampleEvery is the stage-latency sampling rate: one in SampleEvery
-	// chunk pushes / worker batches is timed into the Metrics histograms.
-	// Defaults to 32; irrelevant when Metrics is nil. Sampling (rather than
-	// timing every chunk) is what keeps the flight recorder inside the
-	// bench-gate's throughput budget.
-	SampleEvery int
 	// NoStrideCompression disables SD3 range compression in the chunked
 	// parallel producer (rangecomp.go) — the A/B switch of the stride
 	// ingestion work. Profiles are byte-identical either way over exact
@@ -227,9 +217,6 @@ func newSerial(cfg Config) (*Serial, error) {
 		return nil, err
 	}
 	eng := NewEngine(stores[0], cfg.Meta, cfg.RaceCheck)
-	if cfg.NoFastPath {
-		eng.DisableCache()
-	}
 	if cfg.TrackBounds {
 		eng.EnableBoundsTracking()
 	}

@@ -69,11 +69,7 @@ type ownerState struct {
 	// raised when an opaque ingested sub-range is appended (its addresses
 	// are not hashed individually); -1 when no floor applies.
 	floor int32
-	// pending counts the logical accesses buffered in the open chunk (a
-	// range counts its element count), published as events_total on push so
-	// the counter's meaning is unchanged by compression.
-	pending uint64
-	touch   [touchCells]touchCell
+	touch [touchCells]touchCell
 }
 
 // lastTouch returns a position p such that no event after p in the open
@@ -173,7 +169,6 @@ func (pr *producer) compressAppend(a *event.Access, w int) (*instrEntry, bool) {
 					r.Count++
 					ent.det.Advance(a.Addr)
 					*cell = touchCell{pos: q, epoch: os.epoch}
-					os.pending++
 					pr.stats.RangeElements++
 					return ent, true
 				}
@@ -212,7 +207,6 @@ func (pr *producer) compressAppend(a *event.Access, w int) (*instrEntry, bool) {
 	*p = event.Access{Kind: event.RangeRef, Addr: uint64(idx)}
 	ent.rangeSlot, ent.rangeIdx, ent.lastSlot = q, int32(idx), -1
 	*cell = touchCell{pos: q, epoch: os.epoch}
-	os.pending++
 	pr.stats.Ranges++
 	pr.stats.RangeElements += 2
 	return ent, true
@@ -311,7 +305,6 @@ func (pr *producer) appendSub(w int, sub *event.Range) {
 		slot := int32(c.Len() - 1)
 		pr.lastIdx[w] = int(slot)
 		os.noteTouch(a.Addr, slot)
-		os.pending++
 		if c.Full() {
 			pr.pushOpen(w)
 		}
@@ -322,24 +315,10 @@ func (pr *producer) appendSub(w int, sub *event.Range) {
 	slot := int32(c.Len() - 1)
 	pr.lastIdx[w] = int(slot)
 	os.floor = slot
-	os.pending += uint64(sub.Count)
 	pr.stats.Ranges++
 	pr.stats.RangeElements += uint64(sub.Count)
 	if c.Full() {
 		pr.pushOpen(w)
-	}
-}
-
-// publishRangeTelemetry pushes the producer's range-counter deltas; called
-// at chunk-push cadence alongside the duplicate-collapse delta.
-func (pr *producer) publishRangeTelemetry() {
-	if d := pr.stats.Ranges - pr.rangesPublished; d > 0 {
-		pr.m.Ranges.Add(d)
-		pr.rangesPublished = pr.stats.Ranges
-	}
-	if d := pr.stats.RangeElements - pr.rangeElemsPublished; d > 0 {
-		pr.m.RangeElements.Add(d)
-		pr.rangeElemsPublished = pr.stats.RangeElements
 	}
 }
 

@@ -11,24 +11,21 @@ import (
 )
 
 // ThroughputRow is one pipeline's events-per-second series, measured over the
-// whole workload suite with the hot path (instance cache + producer fast
-// path) disabled and enabled.
+// whole workload suite.
 type ThroughputRow struct {
 	Pipeline  string
 	Events    uint64  // read/write accesses profiled per replay
-	SlowEPS   float64 // events/s, NoFastPath
-	FastEPS   float64 // events/s, hot path enabled
-	Speedup   float64 // FastEPS / SlowEPS
-	CacheHit  float64 // instance-cache hit rate of the fast run, percent
+	EPS       float64 // events/s
+	CacheHit  float64 // instance-cache hit rate, percent
 	DupPct    float64 // producer duplicate reads collapsed, percent of events
 	CompRatio float64 // accesses per stored record (stride compression), 1 = none
 }
 
 // Throughput measures raw profiling throughput (events/s) of the serial,
 // parallel and MT pipelines over the captured access streams of the workload
-// suite, with and without the hot path. This is the experiment behind the
-// BenchmarkHotPath gate: the same streams, replayed rather than re-executed,
-// so the interpreter is out of the measurement.
+// suite. This is the experiment behind the BenchmarkHotPath gate: the same
+// streams, replayed rather than re-executed, so the interpreter is out of
+// the measurement.
 func Throughput(opt Options) (*report.Table, []ThroughputRow, error) {
 	opt = opt.norm()
 
@@ -55,32 +52,29 @@ func Throughput(opt Options) (*report.Table, []ThroughputRow, error) {
 
 	type pipeline struct {
 		name string
-		mk   func(meta *prog.Meta, noFast bool) core.Profiler
+		mk   func(meta *prog.Meta) core.Profiler
 	}
 	pipes := []pipeline{
-		{"serial", func(meta *prog.Meta, noFast bool) core.Profiler {
+		{"serial", func(meta *prog.Meta) core.Profiler {
 			return core.NewSerial(core.Config{
 				SlotsPerWorker: opt.SlotsPerWorker,
 				Meta:           meta,
-				NoFastPath:     noFast,
 				Metrics:        Telemetry,
 			})
 		}},
-		{"parallel-8T", func(meta *prog.Meta, noFast bool) core.Profiler {
+		{"parallel-8T", func(meta *prog.Meta) core.Profiler {
 			return core.NewParallel(core.Config{
 				Workers:        8,
 				SlotsPerWorker: opt.SlotsPerWorker,
 				Meta:           meta,
-				NoFastPath:     noFast,
 				Metrics:        Telemetry,
 			})
 		}},
-		{"mt-8T", func(meta *prog.Meta, noFast bool) core.Profiler {
+		{"mt-8T", func(meta *prog.Meta) core.Profiler {
 			return core.NewMT(core.Config{
 				Workers:        8,
 				SlotsPerWorker: opt.SlotsPerWorker,
 				Meta:           meta,
-				NoFastPath:     noFast,
 				Metrics:        Telemetry,
 			})
 		}},
@@ -90,35 +84,23 @@ func Throughput(opt Options) (*report.Table, []ThroughputRow, error) {
 	for _, pipe := range pipes {
 		row := ThroughputRow{Pipeline: pipe.name}
 		var hits, probes, dups, ranges, rangeElems uint64
-		for _, noFast := range []bool{true, false} {
-			var events uint64
-			d, err := timeRun(opt.Reps, func() error {
-				events, hits, probes, dups, ranges, rangeElems = 0, 0, 0, 0, 0, 0
-				for _, s := range streams {
-					res := replay(s.cap, pipe.mk(s.meta, noFast))
-					events += res.Stats.Accesses
-					hits += res.Stats.DepCacheHits
-					probes += res.Stats.DepCacheProbes
-					dups += res.Stats.DupCollapsed
-					ranges += res.Stats.Ranges
-					rangeElems += res.Stats.RangeElements
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s replay: %w", pipe.name, err)
+		d, err := timeRun(opt.Reps, func() error {
+			row.Events, hits, probes, dups, ranges, rangeElems = 0, 0, 0, 0, 0, 0
+			for _, s := range streams {
+				res := replay(s.cap, pipe.mk(s.meta))
+				row.Events += res.Stats.Accesses
+				hits += res.Stats.DepCacheHits
+				probes += res.Stats.DepCacheProbes
+				dups += res.Stats.DupCollapsed
+				ranges += res.Stats.Ranges
+				rangeElems += res.Stats.RangeElements
 			}
-			eps := float64(events) / d.Seconds()
-			if noFast {
-				row.SlowEPS = eps
-			} else {
-				row.FastEPS = eps
-				row.Events = events
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s replay: %w", pipe.name, err)
 		}
-		if row.SlowEPS > 0 {
-			row.Speedup = row.FastEPS / row.SlowEPS
-		}
+		row.EPS = float64(row.Events) / d.Seconds()
 		if probes > 0 {
 			row.CacheHit = 100 * float64(hits) / float64(probes)
 		}
@@ -132,18 +114,15 @@ func Throughput(opt Options) (*report.Table, []ThroughputRow, error) {
 	}
 
 	tab := &report.Table{
-		Title:   "Throughput: profiling events/s over the workload suite, hot path off vs on",
-		Headers: []string{"Pipeline", "events", "slow ev/s", "fast ev/s", "speedup", "cache hit", "dups collapsed", "comp ratio"},
+		Title:   "Throughput: profiling events/s over the workload suite",
+		Headers: []string{"Pipeline", "events", "ev/s", "cache hit", "dups collapsed", "comp ratio"},
 	}
 	for _, r := range rows {
-		tab.AddRow(r.Pipeline, r.Events,
-			fmt.Sprintf("%.0f", r.SlowEPS), fmt.Sprintf("%.0f", r.FastEPS),
-			fmt.Sprintf("%.2fx", r.Speedup),
+		tab.AddRow(r.Pipeline, r.Events, fmt.Sprintf("%.0f", r.EPS),
 			fmt.Sprintf("%.1f%%", r.CacheHit), fmt.Sprintf("%.1f%%", r.DupPct),
 			fmt.Sprintf("%.2fx", r.CompRatio))
 	}
 	tab.Notes = append(tab.Notes,
-		"slow = NoFastPath (instance cache and producer duplicate filter disabled);",
 		"streams are captured once and replayed, so interpreter time is excluded")
 	return tab, rows, nil
 }

@@ -6,14 +6,15 @@ import (
 
 	"ddprof/internal/core"
 	"ddprof/internal/dep"
+	"ddprof/internal/sig"
 	"ddprof/internal/workloads"
 )
 
-// TestHotPathByteIdenticalOnSuite is the ISSUE's correctness gate for the
-// hot-path overhaul: on every workload in the suite, the fast-path profiler
-// (instance cache + duplicate filter) and the slow-path profiler
-// (NoFastPath) must produce byte-identical dependence sets and LoopDeps,
-// for the serial, parallel and MT pipelines alike.
+// TestHotPathByteIdenticalOnSuite is the correctness gate for the hot path:
+// on every workload in the suite, the serial, parallel and MT pipelines
+// (instance cache, duplicate-read filters, transport and merge) must produce
+// dependence sets and LoopDeps byte-identical to one cache-disabled engine
+// fed the raw captured stream.
 func TestHotPathByteIdenticalOnSuite(t *testing.T) {
 	opt := small().norm()
 	for _, w := range workloads.All() {
@@ -24,51 +25,46 @@ func TestHotPathByteIdenticalOnSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mks := map[string]func(noFast bool) core.Profiler{
-				"serial": func(noFast bool) core.Profiler {
-					return core.NewSerial(core.Config{
-						Backend:    "perfect",
-						Meta:       p.Meta,
-						NoFastPath: noFast,
-					})
-				},
-				"parallel": func(noFast bool) core.Profiler {
-					return core.NewParallel(core.Config{
-						Workers:    4,
-						Backend:    "perfect",
-						Meta:       p.Meta,
-						NoFastPath: noFast,
-					})
-				},
-				"mt": func(noFast bool) core.Profiler {
-					return core.NewMT(core.Config{
-						Workers:    4,
-						Backend:    "perfect",
-						Meta:       p.Meta,
-						NoFastPath: noFast,
-					})
-				},
-			}
-			for name, mk := range mks {
-				slow := replay(cap, mk(true))
-				fast := replay(cap, mk(false))
-				if fast.Deps.Unique() != slow.Deps.Unique() {
-					t.Fatalf("%s: unique deps fast %d, slow %d", name, fast.Deps.Unique(), slow.Deps.Unique())
+			// reference replays the stream through Algorithm 1 alone. MT
+			// engines always check for races, so the MT reference does too.
+			reference := func(raceCheck bool) *core.Engine {
+				eng := core.NewEngine(sig.NewPerfectSignature(), p.Meta, raceCheck)
+				eng.DisableCache()
+				for _, a := range cap.Events() {
+					eng.Process(a)
 				}
-				slow.Deps.Range(func(k dep.Key, st dep.Stats) bool {
+				return eng
+			}
+			pipes := []struct {
+				name      string
+				prof      core.Profiler
+				raceCheck bool
+			}{
+				{"serial", core.NewSerial(core.Config{Backend: "perfect", Meta: p.Meta}), false},
+				{"parallel", core.NewParallel(core.Config{Workers: 4, Backend: "perfect", Meta: p.Meta}), false},
+				{"mt", core.NewMT(core.Config{Workers: 4, Backend: "perfect", Meta: p.Meta}), true},
+			}
+			for _, pipe := range pipes {
+				fast := replay(cap, pipe.prof)
+				ref := reference(pipe.raceCheck)
+				if fast.Deps.Unique() != ref.Deps().Unique() {
+					t.Fatalf("%s: unique deps fast %d, reference %d", pipe.name, fast.Deps.Unique(), ref.Deps().Unique())
+				}
+				ref.Deps().Range(func(k dep.Key, st dep.Stats) bool {
 					fst, ok := fast.Deps.Lookup(k)
 					if !ok || fst != st {
-						t.Fatalf("%s: dep %+v diverges: slow %+v fast %+v (found %v)", name, k, st, fst, ok)
+						t.Fatalf("%s: dep %+v diverges: reference %+v fast %+v (found %v)", pipe.name, k, st, fst, ok)
 					}
 					return true
 				})
-				if len(fast.Loops) != len(slow.Loops) {
-					t.Fatalf("%s: LoopDeps size fast %d, slow %d", name, len(fast.Loops), len(slow.Loops))
+				refLoops := ref.LoopDeps()
+				if len(fast.Loops) != len(refLoops) {
+					t.Fatalf("%s: LoopDeps size fast %d, reference %d", pipe.name, len(fast.Loops), len(refLoops))
 				}
-				for id, sld := range slow.Loops {
+				for id, rld := range refLoops {
 					fld := fast.Loops[id]
-					if fld == nil || *fld != *sld {
-						t.Fatalf("%s: LoopDeps for loop %d diverge: slow %+v fast %v", name, id, *sld, fld)
+					if fld == nil || *fld != *rld {
+						t.Fatalf("%s: LoopDeps for loop %d diverge: reference %+v fast %v", pipe.name, id, *rld, fld)
 					}
 				}
 			}
@@ -89,7 +85,7 @@ func TestThroughputSmoke(t *testing.T) {
 		t.Fatalf("rows = %d, want 3 (serial, parallel, mt)", len(rows))
 	}
 	for _, r := range rows {
-		if r.Events == 0 || r.FastEPS <= 0 || r.SlowEPS <= 0 {
+		if r.Events == 0 || r.EPS <= 0 {
 			t.Errorf("%s: empty measurement: %+v", r.Pipeline, r)
 		}
 		if r.CacheHit <= 0 || r.CacheHit > 100 {

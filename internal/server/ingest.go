@@ -13,7 +13,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -123,25 +122,21 @@ func (ing *ingest) err() error {
 }
 
 // readFrames is stage 1: length-prefixed frames off the socket into pooled
-// buffers. It replaces trace.FrameReader on the ingest path and mirrors its
-// validation and error text exactly.
+// buffers. Headers go through trace.ReadFrameHeader, the one framing rule
+// (terminator, size cap, error text) every framed-stream reader shares.
 func (ing *ingest) readFrames(br *bufio.Reader, maxFrame int) {
 	defer ing.wg.Done()
 	defer close(ing.frames)
 	for {
-		ln, err := binary.ReadUvarint(br)
+		ln, err := trace.ReadFrameHeader(br, maxFrame)
 		if err != nil {
-			ing.readErr = fmt.Errorf("trace: reading frame header: %w", noEOF(err))
+			ing.readErr = err
 			return
 		}
 		if ln == 0 {
 			return // clean stream terminator
 		}
-		if ln > uint64(maxFrame) {
-			ing.readErr = fmt.Errorf("trace: frame of %d bytes: %w", ln, trace.ErrFrameTooLarge)
-			return
-		}
-		buf, reused := getFrameBuf(int(ln))
+		buf, reused := getFrameBuf(ln)
 		if reused {
 			ing.reused.Add(1)
 		} else {

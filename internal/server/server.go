@@ -193,8 +193,12 @@ type Server struct {
 	pipe *telemetry.Pipeline
 	snap *telemetry.Snapshotter
 
-	mu        sync.Mutex
-	sessions  map[uint64]*session
+	mu       sync.Mutex
+	sessions map[uint64]*session
+	// conns holds every admitted connection until its handleConn returns —
+	// past retirement, through the verdict write — so a drain past its
+	// deadline can close all of them.
+	conns     map[net.Conn]struct{}
 	listeners map[net.Listener]struct{}
 	nextID    uint64
 	budget    int
@@ -230,6 +234,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		pipe:       reg.Pipeline("pipeline"),
 		sessions:   make(map[uint64]*session),
+		conns:      make(map[net.Conn]struct{}),
 		listeners:  make(map[net.Listener]struct{}),
 		obs:        make(map[uint64]*observatory),
 		budget:     cfg.WorkerBudget,
@@ -303,8 +308,13 @@ func (s *Server) handleConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	defer s.sessWG.Done()
-	defer conn.Close()
+	defer func() {
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		s.sessWG.Done()
+	}()
 
 	verdict, err := s.runSession(sess)
 	if err != nil {
@@ -342,6 +352,7 @@ func (s *Server) register(conn net.Conn) (*session, error) {
 		started: time.Now(),
 	}
 	s.sessions[sess.id] = sess
+	s.conns[conn] = struct{}{}
 	s.gActive.Set(int64(len(s.sessions)))
 	s.cAccepted.Inc()
 	s.sessWG.Add(1)
@@ -1065,11 +1076,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // Shutdown drains the daemon: listeners close immediately (new connects are
-// refused), in-flight sessions run to completion, and when ctx expires the
-// connections of sessions still in the table are force-closed. A retired
-// session still writing its verdict is not in the table; the idle deadline
-// bounds that write. It returns nil if every session finished in time,
-// ctx.Err() otherwise.
+// refused), in-flight sessions run to completion, and when ctx expires every
+// admitted connection still open is force-closed — a retired session still
+// writing its verdict included. It returns nil if every session finished in
+// time, ctx.Err() otherwise.
 func (s *Server) Shutdown(ctx context.Context) error {
 	// The flight recorder stops only after the drain below: its final sample
 	// must capture the fully drained end state (completed-session counters,
@@ -1101,8 +1111,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
-		for _, sess := range s.sessions {
-			sess.conn.Close() // unblocks session reads/writes
+		for conn := range s.conns {
+			conn.Close() // unblocks session reads/writes
 		}
 		s.mu.Unlock()
 		<-done

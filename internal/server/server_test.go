@@ -467,6 +467,82 @@ func TestShutdownDrain(t *testing.T) {
 	}
 }
 
+// pipeListener hands out the server ends of in-memory net.Pipe
+// connections. A pipe has no buffer, so a write blocks until the peer reads.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+// dial returns the client end of a fresh pipe whose server end Accept yields.
+func (l *pipeListener) dial() net.Conn {
+	client, server := net.Pipe()
+	l.conns <- server
+	return client
+}
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+// TestShutdownDeadlineClosesVerdictWrites: a drain past its deadline must
+// force-close a retired session whose verdict write is blocked on a client
+// that never reads, instead of waiting out the idle deadline.
+func TestShutdownDeadlineClosesVerdictWrites(t *testing.T) {
+	srv := New(Config{Registry: telemetry.NewRegistry(), IdleTimeout: 10 * time.Second})
+	ln := newPipeListener()
+	go srv.Serve(ln)
+
+	conn := ln.dial()
+	defer conn.Close()
+	p := testProgram("stuck", 100)
+	bw := bufio.NewWriter(conn)
+	if err := writeHandshake(bw, clientHandshake(p, ClientOptions{Backend: "perfect"})); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := streamTrace(bw, p, ClientOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The client never reads: the session retires, then blocks writing its
+	// verdict into the pipe.
+	waitFor(t, func() bool { return srv.ActiveSessions() == 0 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != context.DeadlineExceeded {
+		t.Errorf("Shutdown = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Shutdown took %v past a 100ms deadline; the verdict write was not closed", d)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -302,7 +302,10 @@ const MaxWorkerSlots = 64
 // pipelines (the daemon aggregates all sessions into one); counters then
 // report totals and gauges last-observed values.
 type Pipeline struct {
-	// Events counts read/write accesses entering the pipeline.
+	// Events counts the logical read/write accesses a pipeline ingests; at
+	// flush it equals the run's core.RunStats.Accesses in every mode. A
+	// collapsed read counts its whole multiplicity and a range its element
+	// count; Remove and control records count nothing.
 	Events *Counter
 	// Chunks counts chunks pushed to workers.
 	Chunks *Counter
@@ -320,9 +323,10 @@ type Pipeline struct {
 	// remainder folded in at flush.
 	DepCacheHits   *Counter
 	DepCacheProbes *Counter
-	// DupCollapsed counts consecutive duplicate reads the producer collapsed
-	// into repetition counts before chunking; events_total + dup_collapsed
-	// equals the logical access count.
+	// DupCollapsed counts consecutive duplicate reads collapsed into
+	// repetition counts (by the producer before chunking, or by the MT
+	// consumer while draining). Like RangeElements, they are a part of
+	// Events — these counters measure compression, not extra traffic.
 	DupCollapsed *Counter
 	// Ranges counts compressed strided runs emitted (by the producer's SD3
 	// stride detection or ingested pre-compressed from traces);
@@ -349,8 +353,8 @@ type Pipeline struct {
 	SigOccupancyPermille *Gauge
 
 	// Stage latency histograms (nanoseconds), the flight recorder's span
-	// layer. All are recorded at sampled chunk/batch granularity (one in
-	// Config.SampleEvery) so the hot path stays inside the bench gate:
+	// layer. All are recorded at sampled chunk/batch granularity (one in 32)
+	// so the hot path stays inside the bench gate:
 	//
 	//	StageProduceNs       per-chunk producer routing: push (including any
 	//	                     backpressure wait), depth observation, refill

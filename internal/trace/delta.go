@@ -121,19 +121,16 @@ func (dr *DeltaReader) Next() (DeltaFrame, error) {
 	if dr.done {
 		return f, io.EOF
 	}
-	ln, err := binary.ReadUvarint(dr.br)
+	n, err := readFrameHeader(dr.br, "delta frame", dr.max)
 	if err != nil {
-		dr.err = fmt.Errorf("trace: reading delta frame header: %w", noEOF(err))
-		return f, dr.err
+		dr.err = err
+		return f, err
 	}
-	if ln == 0 {
+	if n == 0 {
 		dr.done = true
 		return f, io.EOF
 	}
-	if ln > uint64(dr.max) {
-		dr.err = fmt.Errorf("trace: delta frame of %d bytes: %w", ln, ErrFrameTooLarge)
-		return f, dr.err
-	}
+	ln := uint64(n)
 	fl, err := dr.br.ReadByte()
 	if err != nil {
 		dr.err = fmt.Errorf("trace: reading delta frame flags: %w", noEOF(err))

@@ -18,13 +18,35 @@ import (
 // dropped connection — a plain DDT1 stream ends only by EOF, which over a
 // socket is indistinguishable from a crash mid-record.
 
-// DefaultMaxFrame caps the payload size FrameReader accepts unless
-// configured otherwise.
+// DefaultMaxFrame caps the payload size of one frame unless configured
+// otherwise.
 const DefaultMaxFrame = 1 << 20
 
-// ErrFrameTooLarge is wrapped by FrameReader errors when a frame exceeds the
-// configured cap.
+// ErrFrameTooLarge is wrapped by frame-header errors when a frame exceeds
+// the configured cap.
 var ErrFrameTooLarge = errors.New("frame exceeds size limit")
+
+// ReadFrameHeader reads one frame header from r and returns the payload
+// length that follows it; 0 is the end-of-stream terminator. A header cut
+// short by EOF is an error wrapping io.ErrUnexpectedEOF, and a length above
+// maxFrame one wrapping ErrFrameTooLarge, rejected before the caller
+// allocates anything. Every reader of framed streams goes through here.
+func ReadFrameHeader(r io.ByteReader, maxFrame int) (int, error) {
+	return readFrameHeader(r, "frame", maxFrame)
+}
+
+// readFrameHeader is ReadFrameHeader with the frame kind named in the error
+// text ("frame", "delta frame").
+func readFrameHeader(r io.ByteReader, kind string, maxFrame int) (int, error) {
+	ln, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, fmt.Errorf("trace: reading %s header: %w", kind, noEOF(err))
+	}
+	if ln > uint64(maxFrame) {
+		return 0, fmt.Errorf("trace: %s of %d bytes: %w", kind, ln, ErrFrameTooLarge)
+	}
+	return int(ln), nil
+}
 
 // FrameWriter chops a byte stream into length-prefixed frames. Each Write
 // becomes exactly one frame; Close emits the zero-length terminator.
@@ -97,21 +119,17 @@ func (f *FrameReader) Read(p []byte) (int, error) {
 	if f.done {
 		return 0, io.EOF
 	}
-	for f.remaining == 0 {
-		ln, err := binary.ReadUvarint(f.br)
+	if f.remaining == 0 {
+		ln, err := ReadFrameHeader(f.br, f.max)
 		if err != nil {
-			f.err = fmt.Errorf("trace: reading frame header: %w", noEOF(err))
-			return 0, f.err
+			f.err = err
+			return 0, err
 		}
 		if ln == 0 {
 			f.done = true
 			return 0, io.EOF
 		}
-		if ln > uint64(f.max) {
-			f.err = fmt.Errorf("trace: frame of %d bytes: %w", ln, ErrFrameTooLarge)
-			return 0, f.err
-		}
-		f.remaining = int(ln)
+		f.remaining = ln
 	}
 	if len(p) > f.remaining {
 		p = p[:f.remaining]

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
@@ -11,10 +13,12 @@ import (
 
 // FuzzReplay hardens the trace reader: arbitrary bytes must either replay
 // or error, never panic, and whatever replays must re-encode.
-// FuzzFrames hardens the server framing layer: arbitrary bytes fed to a
-// FrameReader (and through it to the trace Reader, like a ddprofd session)
-// must error or replay, never panic, and a frame round trip of whatever was
-// read back must be lossless.
+// FuzzFrames hardens the framing layer: arbitrary bytes walked frame by
+// frame through ReadFrameHeader — the header reader ddprofd's session ingest
+// runs — must error or end at the terminator, never panic; FrameReader over
+// the same bytes must recover the same payload and fail with the same error;
+// a frame round trip of whatever was read back must be lossless; and the
+// trace Reader over the framed bytes must never panic.
 func FuzzFrames(f *testing.F) {
 	var framed bytes.Buffer
 	fw := NewFrameWriter(&framed)
@@ -27,10 +31,37 @@ func FuzzFrames(f *testing.F) {
 	f.Add([]byte{4, 'D', 'D', 'T', '1', 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := NewFrameReader(bytes.NewReader(data), 1<<16)
-		payload, err := io.ReadAll(fr)
+		const maxFrame = 1 << 16
+		// The session-ingest loop: header, then the whole payload.
+		br := bufio.NewReader(bytes.NewReader(data))
+		var payload []byte
+		var walkErr error
+		for {
+			ln, err := ReadFrameHeader(br, maxFrame)
+			if err != nil || ln == 0 {
+				walkErr = err
+				break
+			}
+			if ln > maxFrame {
+				t.Fatalf("header of %d bytes passed the %d cap", ln, maxFrame)
+			}
+			buf := make([]byte, ln)
+			n, err := io.ReadFull(br, buf)
+			payload = append(payload, buf[:n]...)
+			if err != nil {
+				walkErr = fmt.Errorf("trace: reading frame payload: %w", noEOF(err))
+				break
+			}
+		}
+
+		fr := NewFrameReader(bytes.NewReader(data), maxFrame)
+		got, err := io.ReadAll(fr)
 		if err == nil && !fr.Terminated() {
 			t.Fatal("clean EOF without terminator frame")
+		}
+		if fmt.Sprint(err) != fmt.Sprint(walkErr) || !bytes.Equal(got, payload) {
+			t.Fatalf("FrameReader (%d bytes, err %v) disagrees with the header walk (%d bytes, err %v)",
+				len(got), err, len(payload), walkErr)
 		}
 		// Whatever payload was recovered must round-trip through framing.
 		var out bytes.Buffer
@@ -47,7 +78,7 @@ func FuzzFrames(f *testing.F) {
 		}
 		// And the session path — trace reader over framed bytes — must never
 		// panic.
-		_, _ = ReadAll(NewFrameReader(bytes.NewReader(data), 1<<16))
+		_, _ = ReadAll(NewFrameReader(bytes.NewReader(data), maxFrame))
 	})
 }
 
