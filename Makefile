@@ -109,9 +109,11 @@ bench-gate:
 # handshake, whole daemon sessions, the binary profile codec, the text
 # dependence parser, the minilang parser), the dependence-set fast-update and
 # merge APIs, the backend spec parser every -backend flag and DDT1 handshake
-# goes through, and the VM-vs-interpreter differential.
+# goes through, the paged signature against a flat-array model, and the
+# VM-vs-interpreter differential.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzBackendSpec -fuzztime=10s ./internal/sig/
+	$(GO) test -run=^$$ -fuzz=FuzzSignatureOps -fuzztime=10s ./internal/sig/
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzRangeFrame -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzFrames -fuzztime=10s ./internal/trace/

@@ -295,7 +295,7 @@ func (s *Serial) Flush() *Result {
 // write-slot occupancy of stores that can report one (the signature, the
 // hybrid's tail), the summed actual footprint of every store regardless of
 // backend (satisfying /metrics for shadow page accounting as much as for
-// slot arrays), and — for two-tier stores — the per-tier split plus the
+// signature pages), and — for two-tier stores — the per-tier split plus the
 // exact-resident census.
 func publishStoreTelemetry(m *telemetry.Pipeline, stores ...sig.Store) {
 	sum, n := 0.0, 0

@@ -71,9 +71,9 @@ func init() {
 			if err != nil {
 				return 0
 			}
-			// Worst case: every resident on its own page, plus the fixed tail
-			// and the promotion bookkeeping.
-			return uint64(exact)*(hpageBytes+16) + uint64(sketch)*32 + 2*uint64(slots)*24
+			// Worst case: every resident on its own page, plus a fully
+			// touched tail and the promotion bookkeeping.
+			return uint64(exact)*(hpageBytes+16) + uint64(sketch)*32 + sig.MaxSignatureBytes(slots)
 		},
 	})
 }

@@ -47,8 +47,8 @@ func (s AccuracyStats) PredictedFPR() float64 {
 }
 
 // sigTrack is the optional accuracy-tracking sidecar of a Signature. It
-// shadows the write-slot array with one word-address tag per slot (so
-// conflicts are detectable: the slot array itself cannot tell which address
+// shadows the write slots with one word-address tag per slot (so
+// conflicts are detectable: a slot itself cannot tell which address
 // populated it) and a linear-counting bitmap estimating distinct insertions.
 // Memory cost: 8 bytes per slot for tags + 1 bit per slot for the bitmap —
 // acceptable for profiling the profiler, and allocated only when tracking is
@@ -78,6 +78,8 @@ func splitmix64(x uint64) uint64 {
 
 // EnableTracking attaches accuracy tracking to the signature. Call before
 // the first access; enabling mid-run undercounts everything inserted so far.
+// The tag array is allocated for all m slots here: unlike the slots
+// themselves it is not paged on first touch.
 func (g *Signature) EnableTracking() {
 	if g.trk != nil {
 		return

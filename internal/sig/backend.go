@@ -197,9 +197,11 @@ type Backend struct {
 	// New builds a store from a parsed spec, rejecting parameters the
 	// backend does not understand.
 	New func(Spec) (Store, error)
-	// EstimateBytes predicts the store's steady-state footprint for
-	// admission control. Zero means unbounded: the footprint grows with the
-	// target's address footprint and cannot be promised up front.
+	// EstimateBytes returns the store's worst-case footprint, the bound
+	// admission control holds a session to: Bytes never exceeds it, however
+	// much of the store the run touches. Zero means unbounded: the
+	// footprint grows with the target's address footprint and cannot be
+	// promised up front.
 	EstimateBytes func(Spec) uint64
 }
 
@@ -327,7 +329,7 @@ func init() {
 	Register(Backend{
 		Name:  "signature",
 		Exact: false,
-		Doc:   "fixed slot arrays, one locality-preserving hash (§III-B); bounded memory, Eq. (2) collision rate",
+		Doc:   "bounded slot store paged on first touch, one locality-preserving hash (§III-B); Eq. (2) collision rate",
 		New: func(sp Spec) (Store, error) {
 			if err := sp.Only("slots"); err != nil {
 				return nil, err
@@ -346,7 +348,7 @@ func init() {
 			if err != nil || slots < 1 {
 				return 0
 			}
-			return 2 * uint64(slots) * slotBytes
+			return MaxSignatureBytes(slots)
 		},
 	})
 	Register(Backend{

@@ -75,7 +75,8 @@ func TestEstimateStoreBytes(t *testing.T) {
 	if err != nil || !bounded {
 		t.Fatalf("signature estimate: %d, %v, %v", b, bounded, err)
 	}
-	if want := uint64(2 * 1024 * slotBytes); b != want {
+	// One directory entry plus one fully touched 1024-slot page.
+	if want := uint64(dirEntryBytes + 2*1024*slotBytes); b != want {
 		t.Errorf("signature bytes = %d, want %d", b, want)
 	}
 	if _, bounded, err := EstimateStoreBytes("perfect", 0); err != nil || bounded {

@@ -2,13 +2,14 @@ package sig
 
 // Bulk signature access for range-compressed ingestion (internal/core's
 // SD3 stride path). Walking a strided run through the per-address Store
-// methods pays a hardware divide and two bounds-checked array probes per
-// element; the run visitors below hoist the hashing out of the element loop
-// entirely — the slot index of element j+1 is the index of element j plus a
-// constant word step, reduced mod m by one compare-and-subtract. The visitor
-// callback sees exactly what the per-address path would: the current write
-// (and, for writes, read) slot at the element's index, and its return value
-// is installed just as SetWrite/SetRead would.
+// methods pays a hardware divide and a page lookup per element; the run
+// visitors below hoist the hashing out of the element loop entirely — the
+// slot index of element j+1 is the index of element j plus a constant word
+// step, reduced mod m by one compare-and-subtract. The visitor callback sees
+// exactly what the per-address path would: the current write (and, for
+// writes, read) slot at the element's index, and its return value is
+// installed just as SetWrite/SetRead would, paging in the slot's page on
+// first touch.
 
 // RunVisitor is implemented by stores that can walk a strided run with
 // division-free index stepping. Both methods return false — having touched
@@ -63,15 +64,15 @@ func (g *Signature) VisitWriteRun(base, stride uint64, count uint32, visit func(
 	}
 	addr := base
 	for j := uint32(0); j < count; j++ {
-		w := g.writes[i]
+		c := g.touch(i)
 		if g.trk != nil {
-			g.trk.noteLookup(i, (addr>>3)+1, !w.Empty())
+			g.trk.noteLookup(i, (addr>>3)+1, !c.w.Empty())
 		}
-		ns := visit(j, w, g.reads[i])
+		ns := visit(j, c.w, c.r)
 		if g.trk != nil {
 			g.trk.noteInsert(i, (addr>>3)+1)
 		}
-		g.writes[i] = ns
+		c.w = ns
 		addr += stride
 		if i += step; i >= g.m {
 			i -= g.m
@@ -88,11 +89,11 @@ func (g *Signature) VisitReadRun(base, stride uint64, count uint32, visit func(j
 	}
 	addr := base
 	for j := uint32(0); j < count; j++ {
-		w := g.writes[i]
+		c := g.touch(i)
 		if g.trk != nil {
-			g.trk.noteLookup(i, (addr>>3)+1, !w.Empty())
+			g.trk.noteLookup(i, (addr>>3)+1, !c.w.Empty())
 		}
-		g.reads[i] = visit(j, w)
+		c.r = visit(j, c.w)
 		addr += stride
 		if i += step; i >= g.m {
 			i -= g.m

@@ -3,17 +3,26 @@
 //
 // A signature encodes an approximate representation of an unbounded set of
 // elements with a bounded amount of state. Following the paper, ours is a
-// fixed-length slot array combined with a single hash function mapping memory
+// fixed number of slots combined with a single hash function mapping memory
 // addresses to slot indices. One hash function (rather than the k of a Bloom
 // filter) keeps element *removal* possible, which variable-lifetime analysis
 // requires. Each slot stores the metadata of the most recent access that
 // hashed there; hash collisions therefore produce both false positives and
 // false negatives in the profiled dependences, quantified in Table I.
 //
+// The slot count bounds the store; it is not an up-front allocation. Slots
+// live on pages allocated the first time an access lands on them, so a
+// profile pays memory (and page-fault time) only for the part of the
+// signature its address footprint reaches, never more than the worst case
+// MaxSignatureBytes. The optional accuracy-tracking sidecar (EnableTracking)
+// is not paged: its per-slot tag array is allocated in full when tracking
+// is switched on.
+//
 // The paper's slots are 4 bytes (a source line). Our slots carry additional
 // metadata (variable, thread, loop-iteration context, timestamp) needed for
 // the Table II and §V experiments, so a slot is three 64-bit words. Memory
-// experiments report both actual and paper-modeled (4 B/slot) sizes.
+// experiments report both actual (touched pages) and paper-modeled
+// (4 B/slot over all m slots) sizes.
 package sig
 
 import (
@@ -111,30 +120,65 @@ type Store interface {
 	ModeledBytes() uint64
 }
 
-// Signature is the approximate Store: two fixed slot arrays (reads, writes)
-// indexed by one multiplicative hash of the address. On collision the newer
-// access simply replaces the older one — no chaining, no allocation — which
-// is what makes it fast and bounded, at the price of Table I's FPR/FNR.
+// Signature is the approximate Store: m slots, each holding the last write
+// and the last read of whatever addresses hash there, indexed by one
+// locality-preserving hash of the address. On collision the newer access
+// simply replaces the older one — no chaining — which is what makes it fast
+// and bounded, at the price of Table I's FPR/FNR.
+//
+// The m slots are bounded but not resident up front: they are reached
+// through a directory of fixed-size pages, and a page is allocated the first
+// time an access is recorded into it. A lookup on an absent page answers
+// empty, exactly as an untouched slot of a flat array would, so paging
+// changes what a profile costs, never what it reports. A slot's write and
+// read records sit side by side on one page, so Algorithm 1's LookupWrite →
+// LookupRead → SetWrite on one index touches one page.
 type Signature struct {
-	writes []Slot
-	reads  []Slot
-	m      uint64
+	dir   []*sigPage
+	pages int // allocated (non-nil) directory entries
+	m     uint64
 	// trk, when non-nil, maintains live accuracy statistics (occupancy,
 	// distinct-address estimate, slot conflicts) for Eq. (2) telemetry; see
 	// accuracy.go. Off by default: one nil check per operation.
 	trk *sigTrack
 }
 
-// NewSignature returns a signature with the given number of slots per array.
+const (
+	pageShift = 10
+	pageSlots = 1 << pageShift // slots per page
+	pageMask  = pageSlots - 1
+	// pageBytes is one page's footprint: a write and a read Slot per slot.
+	pageBytes = pageSlots * 2 * slotBytes
+	// dirEntryBytes is one directory entry, a page pointer.
+	dirEntryBytes = 8
+)
+
+// slotPair is one slot index's last-write and last-read records.
+type slotPair struct{ w, r Slot }
+
+type sigPage [pageSlots]slotPair
+
+// NewSignature returns a signature with the given number of slots. Only the
+// page directory is allocated here; pages come on first touch.
 func NewSignature(slots int) *Signature {
 	if slots < 1 {
 		slots = 1
 	}
 	return &Signature{
-		writes: make([]Slot, slots),
-		reads:  make([]Slot, slots),
-		m:      uint64(slots),
+		dir: make([]*sigPage, sigPages(uint64(slots))),
+		m:   uint64(slots),
 	}
+}
+
+// sigPages returns the directory length for m slots.
+func sigPages(m uint64) uint64 { return (m + pageMask) >> pageShift }
+
+// MaxSignatureBytes returns the footprint of a signature of the given slot
+// count with every page touched: the directory plus all pages. Bytes never
+// exceeds it, so it is the bound store-budget admission can rely on.
+func MaxSignatureBytes(slots int) uint64 {
+	n := sigPages(uint64(slots))
+	return n * (dirEntryBytes + pageBytes)
 }
 
 // hash maps an address to a slot index: the word address modulo the slot
@@ -151,13 +195,37 @@ func (g *Signature) hash(addr uint64) uint64 {
 	return (addr >> 3) % g.m
 }
 
-// Slots returns the configured number of slots per array.
+// peek returns slot i's records for reading; an untouched page answers
+// with the shared empty pair. It never allocates.
+func (g *Signature) peek(i uint64) *slotPair {
+	if p := g.dir[i>>pageShift]; p != nil {
+		return &p[i&pageMask]
+	}
+	return &emptyPair
+}
+
+// emptyPair is peek's answer for an untouched page. Nothing writes it.
+var emptyPair slotPair
+
+// touch returns slot i's records for update, allocating the page on first
+// touch. Pages never move or go away, so the pointer stays valid.
+func (g *Signature) touch(i uint64) *slotPair {
+	p := g.dir[i>>pageShift]
+	if p == nil {
+		p = new(sigPage)
+		g.dir[i>>pageShift] = p
+		g.pages++
+	}
+	return &p[i&pageMask]
+}
+
+// Slots returns the configured number of slots.
 func (g *Signature) Slots() int { return int(g.m) }
 
 // LookupWrite implements Store.
 func (g *Signature) LookupWrite(addr uint64) (Slot, bool) {
 	i := g.hash(addr)
-	s := g.writes[i]
+	s := g.peek(i).w
 	if g.trk != nil {
 		g.trk.noteLookup(i, (addr>>3)+1, !s.Empty())
 	}
@@ -166,7 +234,7 @@ func (g *Signature) LookupWrite(addr uint64) (Slot, bool) {
 
 // LookupRead implements Store.
 func (g *Signature) LookupRead(addr uint64) (Slot, bool) {
-	s := g.reads[g.hash(addr)]
+	s := g.peek(g.hash(addr)).r
 	return s, !s.Empty()
 }
 
@@ -176,26 +244,30 @@ func (g *Signature) SetWrite(addr uint64, s Slot) {
 	if g.trk != nil {
 		g.trk.noteInsert(i, (addr>>3)+1)
 	}
-	g.writes[i] = s
+	g.touch(i).w = s
 }
 
 // SetRead implements Store.
-func (g *Signature) SetRead(addr uint64, s Slot) { g.reads[g.hash(addr)] = s }
+func (g *Signature) SetRead(addr uint64, s Slot) { g.touch(g.hash(addr)).r = s }
 
-// Remove implements Store: both slots the address hashes to are cleared.
+// Remove implements Store: both records at the address's slot are cleared.
 // Collided residents are cleared too — an accepted approximation, the same
-// one the paper's removal makes.
+// one the paper's removal makes. An untouched page is already empty and
+// stays unallocated.
 func (g *Signature) Remove(addr uint64) {
 	i := g.hash(addr)
 	if g.trk != nil {
 		g.trk.noteRemove(i)
 	}
-	g.writes[i] = Slot{}
-	g.reads[i] = Slot{}
+	if p := g.dir[i>>pageShift]; p != nil {
+		p[i&pageMask] = slotPair{}
+	}
 }
 
-// Bytes implements Store: actual size of the two slot arrays.
-func (g *Signature) Bytes() uint64 { return 2 * g.m * 24 }
+// Bytes implements Store: the page directory plus the allocated pages.
+func (g *Signature) Bytes() uint64 {
+	return uint64(len(g.dir))*dirEntryBytes + uint64(g.pages)*pageBytes
+}
 
 // ModeledBytes implements Store: the paper's 4 bytes/slot model (§VI-A:
 // "each slot is four bytes. Thus 1.0E+8 slots consume only 382 MB").
@@ -204,38 +276,26 @@ func (g *Signature) ModeledBytes() uint64 { return g.m * 4 }
 // Occupancy returns the fraction of non-empty write slots; used to validate
 // the paper's Eq. (2) collision-probability prediction. With accuracy
 // tracking enabled the incrementally maintained slot count answers in O(1);
-// the untracked path scans the slot array, which the end-of-run occupancy
-// publication would otherwise pay O(m) per worker inside the merge stage.
-// The accuracy suite pins the two paths equal.
+// the untracked path scans the allocated pages, which the end-of-run
+// occupancy publication would otherwise pay per worker inside the merge
+// stage. Slots past m on the last page are never written, so they count as
+// empty. The accuracy suite pins the two paths equal.
 func (g *Signature) Occupancy() float64 {
 	if g.trk != nil {
 		return float64(g.trk.occupied) / float64(g.m)
 	}
 	used := 0
-	for i := range g.writes {
-		if !g.writes[i].Empty() {
-			used++
+	for _, p := range g.dir {
+		if p == nil {
+			continue
+		}
+		for i := range p {
+			if !p[i].w.Empty() {
+				used++
+			}
 		}
 	}
 	return float64(used) / float64(g.m)
-}
-
-// Intersect returns the number of slot indices populated (write side) in both
-// signatures — the "disambiguation" operation of the transactional-memory
-// signature abstraction (§III-B). Both signatures must have equal slot
-// counts; if an element was inserted into both, its slot is guaranteed to be
-// counted.
-func (g *Signature) Intersect(o *Signature) int {
-	if o == nil || o.m != g.m {
-		return 0
-	}
-	n := 0
-	for i := range g.writes {
-		if !g.writes[i].Empty() && !o.writes[i].Empty() {
-			n++
-		}
-	}
-	return n
 }
 
 // PerfectSignature is the exact Store the paper uses as ground truth in

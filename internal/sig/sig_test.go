@@ -1,6 +1,8 @@
 package sig
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -179,17 +181,71 @@ func TestSignatureMinimumSlots(t *testing.T) {
 }
 
 func TestSignatureBytes(t *testing.T) {
-	g := NewSignature(1000)
-	if g.Bytes() != 2*1000*24 {
-		t.Errorf("Bytes = %d", g.Bytes())
+	const m = 3*pageSlots + 5
+	g := NewSignature(m)
+	dir := uint64(4 * dirEntryBytes)
+	if g.Bytes() != dir {
+		t.Fatalf("fresh Bytes = %d, want only the %d-byte directory", g.Bytes(), dir)
 	}
-	if g.ModeledBytes() != 4000 {
+	s := PackSlot(loc.Pack(1, 1), 0, 0, 0, 0, 0)
+	// Lookups and removes on untouched pages allocate nothing.
+	g.LookupWrite(addr(5))
+	g.LookupRead(addr(5))
+	g.Remove(addr(5))
+	if g.Bytes() != dir {
+		t.Fatalf("Bytes after lookups/removes = %d, want %d", g.Bytes(), dir)
+	}
+	// Each first-touched page adds exactly one page; touching it again,
+	// on either side, adds nothing.
+	for p := 0; p < 4; p++ {
+		g.SetWrite(addr(p*pageSlots), s)
+		want := dir + uint64(p+1)*pageBytes
+		if g.Bytes() != want {
+			t.Fatalf("after touching page %d: Bytes = %d, want %d", p, g.Bytes(), want)
+		}
+		g.SetRead(addr(p*pageSlots+1), s)
+		g.SetWrite(addr(p*pageSlots+2), s)
+		if g.Bytes() != want {
+			t.Fatalf("retouching page %d: Bytes = %d, want %d", p, g.Bytes(), want)
+		}
+	}
+
+	// A fully touched signature stays within its spec's admission estimate.
+	for _, m := range []int{1, 7, pageSlots - 1, pageSlots, pageSlots + 1, 1000, 3*pageSlots + 5} {
+		g := NewSignature(m)
+		for i := 0; i < m; i++ {
+			g.SetWrite(addr(i), s)
+			g.SetRead(addr(i), s)
+		}
+		est, bounded, err := EstimateStoreBytes(fmt.Sprintf("signature:slots=%d", m), 0)
+		if err != nil || !bounded {
+			t.Fatalf("m=%d: estimate %d, %v, %v", m, est, bounded, err)
+		}
+		if g.Bytes() > est {
+			t.Errorf("m=%d: fully touched Bytes = %d exceeds estimate %d", m, g.Bytes(), est)
+		}
+	}
+
+	if g := NewSignature(1000); g.ModeledBytes() != 4000 {
 		t.Errorf("ModeledBytes = %d, want paper's 4 B/slot", g.ModeledBytes())
 	}
 	// Paper's example: 1e8 slots -> 382 MB.
 	big := &Signature{m: 1e8}
 	if mb := float64(big.ModeledBytes()) / (1 << 20); mb < 381 || mb > 382 {
 		t.Errorf("1e8 slots modeled as %.1f MB, paper says ~382 MB", mb)
+	}
+}
+
+// TestSignatureAllocatesLazily guards the paging: a default-sized
+// signature must cost its directory, not its slots, until it is used.
+func TestSignatureAllocatesLazily(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := NewSignature(1 << 21)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(g)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+		t.Fatalf("NewSignature(1<<21) allocated %d bytes, want < 64 KiB", d)
 	}
 }
 
@@ -207,30 +263,6 @@ func TestSignatureOccupancy(t *testing.T) {
 	want := float64(len(seen)) / 100
 	if got := g.Occupancy(); got != want {
 		t.Errorf("Occupancy = %v, want %v", got, want)
-	}
-}
-
-func TestSignatureIntersect(t *testing.T) {
-	a := NewSignature(1 << 12)
-	b := NewSignature(1 << 12)
-	s := PackSlot(loc.Pack(1, 1), 0, 0, 0, 0, 0)
-	// Insert 10 common addresses and some private ones.
-	for i := uint64(0); i < 10; i++ {
-		a.SetWrite(i*8, s)
-		b.SetWrite(i*8, s)
-	}
-	for i := uint64(100); i < 120; i++ {
-		a.SetWrite(i*7919, s)
-	}
-	got := a.Intersect(b)
-	if got < 10 {
-		t.Errorf("Intersect = %d; common elements must always be present (no false negatives)", got)
-	}
-	if a.Intersect(nil) != 0 {
-		t.Error("Intersect(nil) should be 0")
-	}
-	if a.Intersect(NewSignature(8)) != 0 {
-		t.Error("Intersect with mismatched size should be 0")
 	}
 }
 

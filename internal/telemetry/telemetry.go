@@ -382,7 +382,7 @@ type Pipeline struct {
 
 	// Store footprint gauges, published at Flush for every backend:
 	// StoreBytes is the summed actual footprint of all worker stores (shadow
-	// page accounting, hash-table entries, signature slot arrays alike).
+	// page accounting, hash-table entries, touched signature pages alike).
 	// Two-tier stores (the hybrid backend) additionally split the footprint
 	// into StoreExactBytes + StoreTailBytes and report the number of
 	// addresses currently held exactly in StoreExactResident.
