@@ -36,13 +36,17 @@ smoke:
 # The full gate: what CI and pre-commit should run.
 check: build vet fmt-check test race smoke
 
-# Load stress for the daemon's lifecycle: the server tests run 20 times
-# while the core tests loop alongside as CPU load, so flakes that only show
-# on a busy machine surface here rather than in CI. Not part of check.
+# Load stress for the concurrent surfaces: the daemon's lifecycle (the server
+# tests) and the core pipelines' epoch, batch-equivalence and parallel tests
+# (in-band epoch marks, producer/worker handoff, MT rings) each run 20 times
+# while the whole core suite loops alongside as CPU load, so flakes that only
+# show on a busy machine surface here rather than in CI. Not part of check.
+STRESS_CORE = Epoch|AccessBatch|Parallel|LockBased|Redistribution|MTMatches|MTConcurrent
 stress:
-	@$(GO) test -count=20 ./internal/server/ & srv=$$!; \
-	while kill -0 $$srv 2>/dev/null; do $(GO) test -count=1 ./internal/core/ >/dev/null; done & load=$$!; \
-	wait $$srv; rc=$$?; wait $$load; exit $$rc
+	@{ $(GO) test -count=20 ./internal/server/ && \
+	  $(GO) test -count=20 -run '$(STRESS_CORE)' ./internal/core/; } & st=$$!; \
+	while kill -0 $$st 2>/dev/null; do $(GO) test -count=1 ./internal/core/ >/dev/null; done & load=$$!; \
+	wait $$st; rc=$$?; wait $$load; exit $$rc
 
 # Hot-path throughput gate: run BenchmarkHotPath and append the events/s
 # numbers to BENCH_pipeline.json under BENCH_LABEL, so regressions are

@@ -398,6 +398,17 @@ func ptrChaseStream(events int) ([]event.Access, *prog.Meta) {
 	return evs[:events], m
 }
 
+// feedChunks feeds n events of stream, cycling, to prof through AccessBatch
+// in event.ChunkSize slices — the batch shape event.ChunkHook hands over.
+func feedChunks(prof core.Profiler, stream []event.Access, n int) {
+	for i := 0; i < n; {
+		off := i % len(stream)
+		k := min(event.ChunkSize, len(stream)-off, n-i)
+		prof.AccessBatch(stream[off:off+k], nil)
+		i += k
+	}
+}
+
 // BenchmarkHotPath is the per-event cost gate of the profiling pipelines:
 // events/s through the serial engine, the lock-free parallel pipeline and
 // the MT pipeline on a dependence-dense stream, plus the stride-compression
@@ -420,9 +431,7 @@ func BenchmarkHotPath(b *testing.B) {
 		prof := mk()
 		start := time.Now()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			prof.Access(stream[i%len(stream)])
-		}
+		feedChunks(prof, stream, b.N)
 		res := prof.Flush()
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "events/s")
@@ -508,9 +517,7 @@ func BenchmarkStore(b *testing.B) {
 			prof := core.NewSerial(core.Config{Backend: backend, Meta: meta})
 			start := time.Now()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				prof.Access(stream[i%len(stream)])
-			}
+			feedChunks(prof, stream, b.N)
 			prof.Flush()
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "events/s")

@@ -38,6 +38,7 @@ import (
 	"ddprof/internal/analysis"
 	"ddprof/internal/core"
 	"ddprof/internal/dep"
+	"ddprof/internal/event"
 	"ddprof/internal/interp"
 	"ddprof/internal/minilang"
 	"ddprof/internal/trace"
@@ -223,8 +224,18 @@ func Profile(p *Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ddprof: %w", err)
 	}
-	info, err := vm.New().Run(p, prof, iopt)
+	var info *interp.RunInfo
+	if mt, ok := prof.(*core.MT); ok {
+		// Target threads call MT.Access inside their own lock regions
+		// (§V, Figure 4), one access at a time.
+		info, err = vm.New().Run(p, mt, iopt)
+	} else {
+		h := event.NewChunkHook(prof.AccessBatch)
+		info, err = vm.New().Run(p, h, iopt)
+		h.Close()
+	}
 	if err != nil {
+		prof.Flush() // join the pipeline's workers
 		return nil, err
 	}
 	res := prof.Flush()
@@ -310,13 +321,17 @@ func ProfileUnion(builds []func() *Program, cfg Config) (*Result, error) {
 // w in the compact trace format. The trace can be profiled offline many
 // times with ProfileTrace — run once, analyze often. The recording hook is
 // wrapped in a trace.SyncWriter, so multi-threaded targets record safely.
+// Every access carries its global timestamp, taken together with the hook
+// call inside the target's lock regions as in a ModeMT run, so ProfileTrace
+// can flag races; a sequential target's timestamps advance by one per
+// access, which costs nothing in the delta encoding.
 func RecordTrace(p *Program, w io.Writer) (events uint64, err error) {
 	tw, err := trace.NewWriter(w)
 	if err != nil {
 		return 0, err
 	}
 	sw := trace.NewSyncWriter(tw)
-	if _, err := vm.New().Run(p, sw, interp.Options{}); err != nil {
+	if _, err := vm.New().Run(p, sw, interp.Options{Timestamps: true}); err != nil {
 		return 0, err
 	}
 	if err := sw.Close(); err != nil {
@@ -326,10 +341,12 @@ func RecordTrace(p *Program, w io.Writer) (events uint64, err error) {
 }
 
 // ProfileTrace replays a recorded trace through a serial profiler with the
-// configured store and returns the dependence set. Loop-carried
-// classification needs the original program's loop table and is therefore
-// not available from a bare trace; all dependences, counts, thread IDs and
-// race flags are reproduced exactly.
+// configured store and returns the dependence set; with ModeMT it flags
+// timestamp reversals as races. The trace is decoded in chunk-sized batches
+// (trace.Reader.NextBatch), the way the daemon ingests remote streams.
+// Loop-carried classification needs the original program's loop table and is
+// therefore not available from a bare trace; all dependences, counts, thread
+// IDs and race flags are reproduced exactly.
 func ProfileTrace(r io.Reader, cfg Config) (*dep.Set, error) {
 	slots := cfg.Slots
 	if slots <= 0 {
@@ -344,10 +361,31 @@ func ProfileTrace(r io.Reader, cfg Config) (*dep.Set, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ddprof: %w", err)
 	}
-	if _, err := trace.Replay(r, prof.Access); err != nil {
+	tr, err := trace.NewReader(r)
+	if err != nil {
 		return nil, err
 	}
-	return prof.Flush().Deps, nil
+	c := event.NewChunk()
+	for {
+		_, err := tr.NextBatch(c)
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		if tr.BatchControl() {
+			// Pipeline control kinds decode but must never reach a profiler;
+			// EpochMark is the one control record a trace may carry.
+			for _, a := range c.Events {
+				if a.Kind > event.Remove && a.Kind != event.RangeRef && a.Kind != event.EpochMark {
+					return nil, fmt.Errorf("ddprof: trace carries control kind %v", a.Kind)
+				}
+			}
+		}
+		prof.AccessBatch(c.Events, c.Ranges)
+		c.Reset()
+		if err == io.EOF {
+			return prof.Flush().Deps, nil
+		}
+	}
 }
 
 // Run executes the program natively (uninstrumented) and returns its final

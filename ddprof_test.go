@@ -1,10 +1,18 @@
 package ddprof_test
 
 import (
+	"bytes"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"ddprof"
+	"ddprof/internal/dep"
+	"ddprof/internal/event"
+	"ddprof/internal/loc"
+	"ddprof/internal/trace"
 )
 
 // buildDemo constructs a program with one clean loop, one reduction and one
@@ -244,6 +252,27 @@ func TestBadMode(t *testing.T) {
 	}
 }
 
+// TestProfileRuntimeErrorJoinsWorkers: a target that fails at run time
+// returns its error, and the pipeline's worker goroutines still exit.
+func TestProfileRuntimeErrorJoinsWorkers(t *testing.T) {
+	p := ddprof.NewProgram("oob")
+	p.MainFunc(func(b *ddprof.Block) {
+		b.DeclArr("a", ddprof.Ci(4))
+		b.For("i", ddprof.Ci(0), ddprof.Ci(8), ddprof.Ci(1), ddprof.LoopOpt{Name: "over"}, func(l *ddprof.Block) {
+			l.Set("a", ddprof.V("i"), ddprof.V("i"))
+		})
+	})
+	base := runtime.NumGoroutine()
+	if _, err := ddprof.Profile(p, ddprof.Config{Mode: ddprof.ModeParallel, Workers: 4}); err == nil {
+		t.Fatal("out-of-bounds store profiled without error")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the failed run, %d after", base, runtime.NumGoroutine())
+		}
+	}
+}
+
 func TestRecordAndProfileTrace(t *testing.T) {
 	var buf strings.Builder
 	n, err := ddprof.RecordTrace(buildDemo(), &buf)
@@ -266,5 +295,115 @@ func TestRecordAndProfileTrace(t *testing.T) {
 	}
 	if set.Instances() != live.Deps.Instances() {
 		t.Errorf("trace instances %d vs live %d", set.Instances(), live.Deps.Instances())
+	}
+
+	// Timestamps cost a sequential trace nothing: re-encoding the same
+	// events with every TS zeroed is no smaller.
+	evs := readTrace(t, strings.NewReader(buf.String()))
+	var zeroed bytes.Buffer
+	w, err := trace.NewWriter(&zeroed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range evs {
+		a.TS = 0
+		w.Access(a)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() > zeroed.Len() {
+		t.Errorf("timestamped trace is %d bytes, %d without timestamps", buf.Len(), zeroed.Len())
+	}
+}
+
+// readTrace decodes a whole trace of point records.
+func readTrace(t *testing.T, r io.Reader) []event.Access {
+	t.Helper()
+	tr, err := trace.NewReader(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []event.Access
+	for {
+		rec, err := tr.NextRecord()
+		if err == io.EOF {
+			return evs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.IsRange {
+			t.Fatal("recorded trace holds a range record")
+		}
+		evs = append(evs, rec.Access)
+	}
+}
+
+// TestRecordTraceTimestamps: a recorded trace carries the global timestamp of
+// every access, so a multi-threaded target's trace keeps what race flagging
+// needs.
+func TestRecordTraceTimestamps(t *testing.T) {
+	p := ddprof.NewProgram("counter")
+	p.MainFunc(func(b *ddprof.Block) {
+		b.Decl("counter", ddprof.Ci(0))
+		b.Spawn(4, func(s *ddprof.Block) {
+			s.For("i", ddprof.Ci(0), ddprof.Ci(200), ddprof.Ci(1),
+				ddprof.LoopOpt{Name: "inc"}, func(l *ddprof.Block) {
+					l.Reduce("counter", ddprof.OpAdd, ddprof.Ci(1))
+				})
+		})
+	})
+	var buf bytes.Buffer
+	if _, err := ddprof.RecordTrace(p, &buf); err != nil {
+		t.Fatal(err)
+	}
+	data := 0
+	for i, a := range readTrace(t, &buf) {
+		if a.Kind != event.Read && a.Kind != event.Write {
+			continue
+		}
+		data++
+		if a.TS == 0 {
+			t.Fatalf("event %d (%v of %#x by thread %d) has no timestamp", i, a.Kind, a.Addr, a.Thread)
+		}
+	}
+	if data == 0 {
+		t.Fatal("no data events recorded")
+	}
+}
+
+// TestProfileTraceFlagsReversal: ProfileTrace in ModeMT flags a dependence
+// whose two accesses arrive with reversed timestamps, and only that one.
+func TestProfileTraceFlagsReversal(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []event.Access{
+		{Addr: 0x100, Kind: event.Write, Loc: loc.Pack(1, 1), Thread: 0, TS: 1},
+		{Addr: 0x100, Kind: event.Read, Loc: loc.Pack(1, 2), Thread: 1, TS: 2},
+		{Addr: 0x200, Kind: event.Write, Loc: loc.Pack(1, 3), Thread: 0, TS: 4},
+		{Addr: 0x200, Kind: event.Read, Loc: loc.Pack(1, 4), Thread: 1, TS: 3}, // reversed
+	} {
+		w.Access(a)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	set, err := ddprof.ProfileTrace(bytes.NewReader(buf.Bytes()), ddprof.Config{Mode: ddprof.ModeMT, Backend: "perfect"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var races []loc.SourceLoc
+	set.Range(func(k dep.Key, st dep.Stats) bool {
+		if st.Reversed {
+			races = append(races, k.Sink)
+		}
+		return true
+	})
+	if len(races) != 1 || races[0] != loc.Pack(1, 4) {
+		t.Errorf("races flagged at sinks %v, want exactly the reversed read %v", races, loc.Pack(1, 4))
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"ddprof/internal/core"
 	"ddprof/internal/dep"
+	"ddprof/internal/event"
 	"ddprof/internal/interp"
 	"ddprof/internal/loc"
 	. "ddprof/internal/minilang"
@@ -18,10 +19,12 @@ func profileProgram(t *testing.T, p *Program) (*interp.RunInfo, *core.Result) {
 		Backend: "perfect",
 		Meta:    p.Meta,
 	})
-	info, err := interp.Run(p, prof, interp.Options{})
+	h := event.NewChunkHook(prof.AccessBatch)
+	info, err := interp.Run(p, h, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.Close()
 	return info, prof.Flush()
 }
 

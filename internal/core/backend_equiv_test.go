@@ -27,7 +27,7 @@ func TestStoreTelemetryPublished(t *testing.T) {
 			if i%2 == 1 {
 				k = event.Read
 			}
-			p.Access(event.Access{Addr: addr, Kind: k, Loc: loc.Pack(1, 1+i%4), TS: ts})
+			put(p, event.Access{Addr: addr, Kind: k, Loc: loc.Pack(1, 1+i%4), TS: ts})
 		}
 		p.Flush()
 		return pipe
@@ -127,9 +127,7 @@ func TestHybridBoundedHeavyHitters(t *testing.T) {
 
 	spec := fmt.Sprintf("hybrid:slots=4096,exact=%d,promote=4", 64)
 	p := NewParallel(Config{Workers: 2, Backend: spec})
-	for _, a := range evs {
-		p.Access(a)
-	}
+	p.AccessBatch(evs, nil)
 	got := p.Flush()
 
 	hotMissing, tailMissing, total := 0, 0, 0

@@ -44,7 +44,7 @@ func feedBatched(p Profiler, evs []event.Access, batch int, collapse bool) *Resu
 
 // TestAccessBatchEquivalence holds AccessBatch to its contract: for every
 // pipeline, any batching of a stream — including pre-collapsed duplicate
-// reads — must produce a profile byte-identical to per-event Access calls.
+// reads — must produce a profile byte-identical to single-slot batches.
 func TestAccessBatchEquivalence(t *testing.T) {
 	for _, s := range equivSuite() {
 		s := s
@@ -121,7 +121,7 @@ func TestAccessBatchRanges(t *testing.T) {
 				ri++
 				continue
 			}
-			ref.Access(a)
+			put(ref, a)
 		}
 		want := ref.Flush()
 

@@ -1,8 +1,9 @@
 package core
 
 // The epoch clock: live observatory support (ROADMAP item 4). A session's
-// stream is cut into epochs by event.EpochMark records — injected by the
-// daemon's ticker or embedded in the trace by the client — and at each mark
+// stream is cut into epochs by event.EpochMark slots fed in-band through
+// AccessBatch — injected by the daemon's ticker or embedded in the trace by
+// the client — and at each mark
 // every worker extracts an epoch-delta from its engine: the dependences whose
 // aggregates advanced since the previous mark, as a self-contained dep.Set
 // (delta counts, current flags and distance bounds). Extraction rides the
@@ -124,48 +125,11 @@ func (e *Engine) ExtractEpochDelta(mark uint32) *EpochDelta {
 	return d
 }
 
-// EpochMarker is implemented by profiler variants that support live
-// epoch-delta extraction. EpochMark cuts an epoch at the current stream
-// position: each worker extracts its delta and delivers it to the
-// Config.OnEpochDelta callback. Marks must be monotone; EpochMark must be
-// called from the Access caller's goroutine for serial and parallel mode
-// (MT mode accepts any goroutine, like its Access).
-type EpochMarker interface {
-	EpochMark(mark uint32)
-}
-
-// EpochMark implements EpochMarker for the serial profiler: extraction is
-// inline, like everything else in serial mode.
-func (s *Serial) EpochMark(mark uint32) {
-	if s.onDelta == nil {
-		return
-	}
-	s.onDelta(s.eng.ExtractEpochDelta(mark))
-}
-
-// EpochMark implements EpochMarker for the parallel (sequential-target)
-// profiler: an EpochMark control record is pushed behind every worker's
-// pending accesses — the same dedicated-control-chunk pattern as migrate —
-// so each worker cuts its delta at exactly the stream position the producer
-// had reached. Extraction then runs on the worker goroutines; the producer
-// does not wait.
-func (p *Parallel) EpochMark(mark uint32) {
-	p.pr.epochMark(mark)
-}
-
-// EpochMark implements EpochMarker for the MT profiler: the mark is pushed
-// through each worker's MPSC ring (multi-producer safe, so a ticker goroutine
-// may call it concurrently with target threads). Workers cut their deltas at
-// their current drain position; instances pushed concurrently land on one
-// side or the other, which the delta-union guarantee is indifferent to.
-func (m *MT) EpochMark(mark uint32) {
-	for _, w := range m.pl.workers {
-		w.tr.pushAccess(event.Access{Addr: uint64(mark), Kind: event.EpochMark})
-	}
-}
-
 // epochMark broadcasts an EpochMark control record to every worker, behind
-// each worker's pending accesses. Control chunks count as ControlChunks, like
+// each worker's pending accesses — the same dedicated-control-chunk pattern
+// as migrate — so each worker cuts its delta at exactly the stream position
+// the producer had reached. Extraction then runs on the worker goroutines;
+// the producer does not wait. Control chunks count as ControlChunks, like
 // migrate's, so events-per-chunk throughput math stays honest.
 func (pr *producer) epochMark(mark uint32) {
 	for w := range pr.open {

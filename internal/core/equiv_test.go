@@ -126,10 +126,18 @@ func equivSuite() []equivStream {
 	return suite
 }
 
-// feed pushes a stream through a profiler and flushes.
+// put feeds accesses to p as one batch.
+func put(p interface {
+	AccessBatch([]event.Access, []event.Range)
+}, evs ...event.Access) {
+	p.AccessBatch(evs, nil)
+}
+
+// feed pushes a stream through a profiler one slot per batch — the reference
+// every other batching is held to — and flushes.
 func feed(p Profiler, evs []event.Access) *Result {
-	for _, a := range evs {
-		p.Access(a)
+	for i := range evs {
+		p.AccessBatch(evs[i:i+1], nil)
 	}
 	return p.Flush()
 }
@@ -295,8 +303,8 @@ func TestControlChunksNotCountedAsData(t *testing.T) {
 		Workers: 2,
 		Backend: "perfect",
 	})
-	p.Access(event.Access{Addr: 0x100, Kind: event.Write, Loc: loc.Pack(1, 1)})
-	p.Access(event.Access{Addr: 0x108, Kind: event.Write, Loc: loc.Pack(1, 2)})
+	put(p, event.Access{Addr: 0x100, Kind: event.Write, Loc: loc.Pack(1, 1)})
+	put(p, event.Access{Addr: 0x108, Kind: event.Write, Loc: loc.Pack(1, 2)})
 	res := p.Flush()
 	// Two open chunks flushed as data + two flush sentinels as control.
 	if res.Stats.Chunks != 2 {

@@ -96,13 +96,18 @@ func NewExistence(cfg Config) *Existence {
 	return e
 }
 
-// Access implements the producer side; single-threaded like Parallel.
-// Lifetime and control events are dropped: line sets never shrink.
-func (e *Existence) Access(a event.Access) {
-	if a.Kind != event.Read && a.Kind != event.Write {
-		return
+// AccessBatch is the producer side, with Profiler's batch layout;
+// single-threaded like Parallel. Remove and EpochMark slots are dropped: line
+// sets never shrink, and existence mode has no epochs.
+func (e *Existence) AccessBatch(accesses []event.Access, ranges []event.Range) {
+	seg := 0
+	for i := range accesses {
+		if k := accesses[i].Kind; k != event.Read && k != event.Write && k != event.RangeRef {
+			e.pr.putBatch(accesses[seg:i], ranges)
+			seg = i + 1
+		}
 	}
-	e.pr.access(a)
+	e.pr.putBatch(accesses[seg:], ranges)
 }
 
 // Flush drains the pipeline and merges the per-worker line sets.

@@ -12,10 +12,10 @@ func TestExistenceBasicPairs(t *testing.T) {
 	e := NewExistence(Config{Workers: 4})
 	// write A@1; read A@2; write B@3; read B@2: pairs {1,2}, {2,3}, and the
 	// self WAW pairs {1,1}, {3,3}.
-	e.Access(event.Access{Addr: 0x100, Kind: event.Write, Loc: loc.Pack(1, 1)})
-	e.Access(event.Access{Addr: 0x100, Kind: event.Read, Loc: loc.Pack(1, 2)})
-	e.Access(event.Access{Addr: 0x200, Kind: event.Write, Loc: loc.Pack(1, 3)})
-	e.Access(event.Access{Addr: 0x200, Kind: event.Read, Loc: loc.Pack(1, 2)})
+	put(e, event.Access{Addr: 0x100, Kind: event.Write, Loc: loc.Pack(1, 1)})
+	put(e, event.Access{Addr: 0x100, Kind: event.Read, Loc: loc.Pack(1, 2)})
+	put(e, event.Access{Addr: 0x200, Kind: event.Write, Loc: loc.Pack(1, 3)})
+	put(e, event.Access{Addr: 0x200, Kind: event.Read, Loc: loc.Pack(1, 2)})
 	res := e.Flush()
 
 	want := []LinePair{
@@ -34,8 +34,8 @@ func TestExistenceBasicPairs(t *testing.T) {
 	}
 	// Read-only addresses yield no pairs.
 	e2 := NewExistence(Config{Workers: 2})
-	e2.Access(event.Access{Addr: 0x300, Kind: event.Read, Loc: loc.Pack(1, 5)})
-	e2.Access(event.Access{Addr: 0x300, Kind: event.Read, Loc: loc.Pack(1, 6)})
+	put(e2, event.Access{Addr: 0x300, Kind: event.Read, Loc: loc.Pack(1, 5)})
+	put(e2, event.Access{Addr: 0x300, Kind: event.Read, Loc: loc.Pack(1, 6)})
 	if res2 := e2.Flush(); len(res2.Pairs) != 0 {
 		t.Errorf("read-only pairs: %v", res2.SortedPairs())
 	}
@@ -49,9 +49,7 @@ func TestExistenceCoversTypedDeps(t *testing.T) {
 
 	full := runSerial(evs)
 	ex := NewExistence(Config{Workers: 4})
-	for _, a := range evs {
-		ex.Access(a)
-	}
+	ex.AccessBatch(evs, nil)
 	eres := ex.Flush()
 
 	full.Deps.Range(func(k dep.Key, _ dep.Stats) bool {
@@ -85,15 +83,11 @@ func TestRoundRobinBalancesSkewedStreams(t *testing.T) {
 	}
 
 	p := NewParallel(Config{Workers: 4, Backend: "perfect"})
-	for _, a := range evs {
-		p.Access(a)
-	}
+	p.AccessBatch(evs, nil)
 	typed := p.Flush()
 
 	ex := NewExistence(Config{Workers: 4})
-	for _, a := range evs {
-		ex.Access(a)
-	}
+	ex.AccessBatch(evs, nil)
 	eres := ex.Flush()
 
 	typedImb := Imbalance(typed.WorkerEvents)

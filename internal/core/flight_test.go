@@ -19,9 +19,7 @@ func TestParallelStageHistograms(t *testing.T) {
 	p := NewParallel(Config{Workers: 2, Backend: "perfect", Metrics: pipe})
 	// Enough chunks that each worker times at least one in sampleEvery
 	// batches.
-	for _, a := range synthStream(400000, 500, 7) {
-		p.Access(a)
-	}
+	p.AccessBatch(synthStream(400000, 500, 7), nil)
 	p.Flush()
 	if pipe.StageProduceNs.Count() == 0 {
 		t.Error("no producer-stage samples recorded")
@@ -84,9 +82,7 @@ func TestDepCacheNoDoubleCount(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pipe := reg.Pipeline("t")
 	p := NewParallel(Config{Workers: 2, SlotsPerWorker: 1 << 12, Metrics: pipe})
-	for _, a := range synthStream(400000, 50, 11) {
-		p.Access(a)
-	}
+	p.AccessBatch(synthStream(400000, 50, 11), nil)
 	res := p.Flush()
 	if res.Stats.DepCacheProbes == 0 {
 		t.Fatal("stream produced no dep-cache probes; test needs a hotter stream")
@@ -107,7 +103,7 @@ func TestTrackAccuracyTelemetry(t *testing.T) {
 	pipe := reg.Pipeline("t")
 	s := NewSerial(Config{SlotsPerWorker: 1 << 12, TrackAccuracy: true, Metrics: pipe})
 	for i := 0; i < 600; i++ {
-		s.Access(event.Access{Addr: uint64(0x1000 + 8*i), Kind: event.Write, Loc: loc.Pack(1, 1)})
+		put(s, event.Access{Addr: uint64(0x1000 + 8*i), Kind: event.Write, Loc: loc.Pack(1, 1)})
 	}
 	s.Flush()
 	meas := pipe.SigFPRMeasuredPPM[0].Load()
@@ -133,7 +129,7 @@ func TestTrackAccuracyConflicts(t *testing.T) {
 	pipe := reg.Pipeline("t")
 	s := NewSerial(Config{SlotsPerWorker: 64, TrackAccuracy: true, Metrics: pipe})
 	for i := 0; i < 1000; i++ {
-		s.Access(event.Access{Addr: uint64(0x1000 + 8*i), Kind: event.Write, Loc: loc.Pack(1, 1)})
+		put(s, event.Access{Addr: uint64(0x1000 + 8*i), Kind: event.Write, Loc: loc.Pack(1, 1)})
 	}
 	s.Flush()
 	if pipe.SigInsertConflicts.Load() == 0 {
@@ -147,7 +143,7 @@ func TestTrackAccuracyExactStoreUnaffected(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pipe := reg.Pipeline("t")
 	s := NewSerial(Config{Backend: "perfect", TrackAccuracy: true, Metrics: pipe})
-	s.Access(event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1)})
+	put(s, event.Access{Addr: 0x1000, Kind: event.Write, Loc: loc.Pack(1, 1)})
 	s.Flush()
 	if pipe.SigFPRMeasuredPPM[0].Load() != 0 {
 		t.Error("accuracy gauge published for an exact store")
@@ -167,8 +163,7 @@ func TestEventsEqualAccesses(t *testing.T) {
 	wr := func(addr uint64, line int) event.Access {
 		return event.Access{Addr: addr, Kind: event.Write, Loc: loc.Pack(1, line)}
 	}
-	// An input is one or more batches; a batch of one point with no ranges
-	// goes through Access, everything else through AccessBatch.
+	// An input is one or more batches, each fed through AccessBatch.
 	type batch struct {
 		evs    []event.Access
 		ranges []event.Range
@@ -241,11 +236,7 @@ func TestEventsEqualAccesses(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, b := range in.batches {
-				if len(b.evs) == 1 && len(b.ranges) == 0 {
-					p.Access(b.evs[0])
-				} else {
-					p.AccessBatch(b.evs, b.ranges)
-				}
+				p.AccessBatch(b.evs, b.ranges)
 			}
 			res := p.Flush()
 			if res.Stats.Accesses != want {

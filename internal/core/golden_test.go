@@ -209,9 +209,7 @@ func goldenModes() []struct {
 		{"mt4", typed(Config{Workers: 4}, mkMT, false, false)},
 		{"exist4", func(meta *prog.Meta, evs []event.Access) string {
 			e := NewExistence(Config{Workers: 4})
-			for _, a := range evs {
-				e.Access(a)
-			}
+			e.AccessBatch(evs, nil)
 			return digestExistence(e.Flush())
 		}},
 	}

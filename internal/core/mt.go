@@ -11,10 +11,13 @@ import (
 
 // MT is the profiler of §V for multi-threaded target programs.
 //
-// Every target thread calls Access concurrently; to keep the per-address
+// Every target thread calls Access concurrently. To keep the per-address
 // order observable, the target must hold its own lock around conflicting
 // accesses and the instrumentation calls Access *inside the same lock
-// region* (paper Figure 4) — the interpreter substrate guarantees this.
+// region* (paper Figure 4) — the VM guarantees this. That is why Access, the
+// per-access hook of multi-threaded target runs, stays outside the Profiler
+// interface: batching it per target thread would move the pushes out of the
+// critical section and change which races get flagged.
 // Each access is pushed individually (not chunked) into the owning worker's
 // lock-free MPSC queue; per-access pushes plus producer contention are the
 // reason MT profiling is slower (Figure 6) and hungrier (Figure 8) than
@@ -169,18 +172,27 @@ func (m *MT) Access(a event.Access) {
 // is pushed into a per-worker MPSC ring), so there is no bulk fast path to
 // exploit: the batch expands through Access, RangeRef slots element by
 // element — exactly what a local multi-threaded target would have produced.
-// Safe for concurrent use, like Access.
+// An EpochMark slot is pushed through every worker's ring (multi-producer
+// safe, so a ticker goroutine may feed one concurrently with target threads);
+// workers cut their deltas at their drain position, and instances pushed
+// concurrently land on one side or the other, which the delta-union
+// guarantee is indifferent to. Safe for concurrent use, like Access.
 func (m *MT) AccessBatch(accesses []event.Access, ranges []event.Range) {
 	for i := range accesses {
 		a := accesses[i]
-		if a.Kind == event.RangeRef {
+		switch a.Kind {
+		case event.RangeRef:
 			r := &ranges[a.Addr]
 			for j := uint32(0); j < r.Count; j++ {
 				m.Access(r.At(j))
 			}
-			continue
+		case event.EpochMark:
+			for _, w := range m.pl.workers {
+				w.tr.pushAccess(a)
+			}
+		default:
+			m.Access(a)
 		}
-		m.Access(a)
 	}
 }
 
@@ -279,8 +291,8 @@ func (m *MT) migrate(addr uint64, from, to int) {
 }
 
 // Flush implements Profiler. It must be called after every target thread has
-// finished (the interpreter joins them first), so no Access call can race
-// with the flush sentinels.
+// finished (the VM joins them first), so no Access call can race with the
+// flush sentinels.
 func (m *MT) Flush() *Result {
 	m.pl.beginFlush()
 	if m.stop != nil {
@@ -299,8 +311,8 @@ func (m *MT) Flush() *Result {
 	if m.m != nil && stats.DupCollapsed > 0 {
 		m.m.DupCollapsed.Add(stats.DupCollapsed)
 	}
-	// sumAccesses: counting on the consumer side keeps the concurrent
-	// producers free of a shared atomic counter; the flush barrier makes the
-	// per-worker sums safe to read.
+	// Counting on the consumer side keeps the concurrent producers free of a
+	// shared atomic counter; the flush barrier makes the per-worker sums safe
+	// to read.
 	return m.pl.merge(stats, 0, true)
 }

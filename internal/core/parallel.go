@@ -13,8 +13,9 @@ import (
 // (address routing, duplicate filter, heavy-hitter redistribution) over
 // chunked transports into engine workers, merged by the shared merge stage.
 //
-// Access must be called from a single goroutine (the target is sequential);
-// Flush drains the pipeline, joins the workers and merges their results.
+// AccessBatch must be called from a single goroutine (the target is
+// sequential); Flush drains the pipeline, joins the workers and merges their
+// results.
 type Parallel struct {
 	pl pipeline
 	pr producer
@@ -59,15 +60,11 @@ func newParallel(cfg Config) (*Parallel, error) {
 	return p, nil
 }
 
-// Access implements Profiler.
-func (p *Parallel) Access(a event.Access) { p.pr.access(a) }
-
-// AccessBatch implements Profiler: one decoded batch through the producer
-// with the per-event counting and sketch bookkeeping amortized per batch.
-// Every slot takes the same routing/dup-collapse/re-compression paths as
-// Access, and a range is split along the owner mask so per-address routing
-// is exactly what Count Access calls would produce; the profile is
-// byte-identical. Single-goroutine, like Access.
+// AccessBatch implements Profiler: one batch through the producer with the
+// counting and sketch bookkeeping amortized per batch. A range is split along
+// the owner mask so per-address routing is exactly what its Count elements as
+// points would produce, and an EpochMark slot is pushed behind every worker's
+// pending accesses. Single-goroutine.
 func (p *Parallel) AccessBatch(accesses []event.Access, ranges []event.Range) {
 	p.pr.putBatch(accesses, ranges)
 }

@@ -60,9 +60,7 @@ func depsEqual(t *testing.T, want, got *dep.Set, label string) {
 
 func runSerial(evs []event.Access) *Result {
 	s := NewSerial(Config{Backend: "perfect"})
-	for _, a := range evs {
-		s.Access(a)
-	}
+	s.AccessBatch(evs, nil)
 	return s.Flush()
 }
 
@@ -78,9 +76,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			Workers: workers,
 			Backend: "perfect",
 		})
-		for _, a := range evs {
-			p.Access(a)
-		}
+		p.AccessBatch(evs, nil)
 		got := p.Flush()
 		depsEqual(t, want.Deps, got.Deps, "parallel")
 		if got.Stats.Accesses != uint64(len(evs)) {
@@ -100,9 +96,7 @@ func TestLockBasedMatchesLockFree(t *testing.T) {
 		LockBased: true,
 		Backend:   "perfect",
 	})
-	for _, a := range evs {
-		p.Access(a)
-	}
+	p.AccessBatch(evs, nil)
 	depsEqual(t, want.Deps, p.Flush().Deps, "lock-based")
 }
 
@@ -119,9 +113,7 @@ func TestRedistributionPreservesResults(t *testing.T) {
 		RedistributeEvery: 8, // check aggressively to force migrations
 		QueueCap:          8,
 	})
-	for _, a := range evs {
-		p.Access(a)
-	}
+	p.AccessBatch(evs, nil)
 	got := p.Flush()
 	depsEqual(t, want.Deps, got.Deps, "redistributed")
 	if got.Stats.Migrations == 0 {
@@ -138,9 +130,7 @@ func TestRedistributionDisabledByDefault(t *testing.T) {
 		Workers: 2,
 		Backend: "perfect",
 	})
-	for _, a := range evs {
-		p.Access(a)
-	}
+	p.AccessBatch(evs, nil)
 	if got := p.Flush().Stats.Migrations; got != 0 {
 		t.Errorf("migrations = %d with redistribution disabled", got)
 	}
@@ -151,9 +141,7 @@ func TestParallelWithRealSignatures(t *testing.T) {
 	evs := synthStream(100000, 400, 5)
 	want := runSerial(evs)
 	p := NewParallel(Config{Workers: 4, SlotsPerWorker: 1 << 18})
-	for _, a := range evs {
-		p.Access(a)
-	}
+	p.AccessBatch(evs, nil)
 	got := p.Flush()
 	depsEqual(t, want.Deps, got.Deps, "signature-parallel")
 	if got.Stats.StoreBytes == 0 || got.Stats.StoreModeledBytes == 0 {

@@ -4,10 +4,10 @@ package core
 // pipeline with pluggable pieces, and this file is that decomposition:
 //
 //	target thread(s)
-//	      │ Access()
+//	      │ AccessBatch() (event.ChunkHook, decoded traces); MT: Access()
 //	┌─────▼──────┐  routing (owner mask / redirect map / round-robin),
 //	│  producer  │  duplicate-read collapse, Misra–Gries sketch,
-//	└─────┬──────┘  migrate/install rebalance protocol
+//	└─────┬──────┘  migrate/install rebalance protocol, epoch marks
 //	      │ chunks (SPSC / Locked) or single accesses (MPSC)
 //	┌─────▼──────┐
 //	│ transport  │  one push/pop/recycle contract over all queue kinds
@@ -21,7 +21,9 @@ package core
 //	│   merge    │  accounting, occupancy + queue-depth publication
 //	└────────────┘
 //
-// Serial, Parallel, MT and Existence are thin compositions of these stages;
+// Serial, Parallel, MT and Existence are thin compositions of these stages
+// (Serial has no producer or transport: its AccessBatch runs the worker's
+// batch loop inline);
 // their profiles are byte-identical to the pre-refactor implementations
 // (held to that by the golden fixtures in testdata/goldens.json).
 
@@ -337,7 +339,9 @@ type worker struct {
 	ex  *existSink // existence mode (eng == nil)
 	// events counts the logical read/write accesses processed (a collapsed
 	// read stands for 1+Rep of them) — the §IV-A load-balance quantity.
-	events uint64
+	// ranges and rangeElems count the RangeRef slots processed and the
+	// accesses they stand for.
+	events, ranges, rangeElems uint64
 	// held buffers accesses to addresses whose signature state is in flight
 	// to this worker (MT redistribution; see event.Hold).
 	held map[uint64][]event.Access
@@ -353,21 +357,23 @@ type worker struct {
 	// flight-recorder state, all worker-local. m is the telemetry sink (nil
 	// disables everything). One in sampleEvery batches is timed
 	// (StageWorkerNs), as is the wait of one in sampleEvery idle episodes
-	// (StageTransportWaitNs). countEvents selects
-	// consumer-side events_total accounting (MT mode, whose concurrent
-	// producers must not share an atomic counter): one Add per drained batch
-	// instead of one per access. The pub* fields are publication watermarks so
-	// periodic in-flight publication and the final merge-time publication add
-	// disjoint deltas to the same counters.
-	m           *telemetry.Pipeline
-	countEvents bool
-	batches     uint64
-	waits       uint64
-	pubEvents   uint64
-	pubHits     uint64
-	pubProbes   uint64
-	pubEvict    uint64
-	pubFalse    uint64
+	// (StageTransportWaitNs). countEvents selects consumer-side
+	// events_total and range accounting (serial mode, which has no producer,
+	// and MT mode, whose concurrent producers must not share an atomic
+	// counter): one Add per batch instead of one per access. The pub* fields
+	// are publication watermarks so periodic in-flight publication and the
+	// final merge-time publication add disjoint deltas to the same counters.
+	m             *telemetry.Pipeline
+	countEvents   bool
+	batches       uint64
+	waits         uint64
+	pubEvents     uint64
+	pubRanges     uint64
+	pubRangeElems uint64
+	pubHits       uint64
+	pubProbes     uint64
+	pubEvict      uint64
+	pubFalse      uint64
 }
 
 // accuracyStore is implemented by stores that track live Eq. (2) accuracy
@@ -396,10 +402,7 @@ func (w *worker) publishTelemetry() {
 		return
 	}
 	if w.countEvents {
-		if d := w.events - w.pubEvents; d > 0 {
-			w.m.Events.Add(d)
-			w.pubEvents = w.events
-		}
+		w.publishCounts()
 	}
 	if w.eng == nil {
 		return
@@ -423,6 +426,20 @@ func (w *worker) publishTelemetry() {
 			}
 			w.pubEvict, w.pubFalse = st.Evictions, st.FalseHits
 		}
+	}
+}
+
+// publishCounts adds the consumer-side counts not yet published (countEvents
+// workers only).
+func (w *worker) publishCounts() {
+	if d := w.events - w.pubEvents; d > 0 {
+		w.m.Events.Add(d)
+		w.pubEvents = w.events
+	}
+	if d := w.ranges - w.pubRanges; d > 0 {
+		w.m.Ranges.Add(d)
+		w.m.RangeElements.Add(w.rangeElems - w.pubRangeElems)
+		w.pubRanges, w.pubRangeElems = w.ranges, w.rangeElems
 	}
 }
 
@@ -472,10 +489,7 @@ func (w *worker) run() {
 		}
 		if w.m != nil {
 			if w.countEvents {
-				if d := w.events - w.pubEvents; d > 0 {
-					w.m.Events.Add(d)
-					w.pubEvents = w.events
-				}
+				w.publishCounts()
 			}
 			if w.batches%telemetryPublishEvery == 0 {
 				w.publishTelemetry()
@@ -488,20 +502,36 @@ func (w *worker) run() {
 }
 
 // process applies one event batch, handling the control kinds uniformly for
-// every mode.
+// every mode. It is also the whole of Serial.AccessBatch, run inline.
 func (w *worker) process(evs []event.Access, rngs []event.Range) (done bool) {
 	for i := range evs {
 		ev := &evs[i]
+		if ev.Kind <= event.Remove {
+			// Read, Write and Remove slots, the bulk of every batch, skip
+			// the control-kind switch.
+			if len(w.held) != 0 {
+				if buf, ok := w.held[ev.Addr]; ok {
+					w.held[ev.Addr] = append(buf, *ev)
+					continue
+				}
+			}
+			w.data(ev)
+			continue
+		}
 		switch ev.Kind {
 		case event.Flush:
 			done = true
 		case event.RangeRef:
 			// A compressed strided run: one dispatch, then the engine's tight
-			// element loop. Ranges only travel chunked transports of the
-			// parallel (sequential-target) mode, which never holds addresses,
-			// so the held-map probe of the point path does not apply.
+			// element loop. Ranges only reach the sequential-target modes,
+			// which never hold addresses, so the held-map probe of the point
+			// path does not apply.
 			r := &rngs[ev.Addr]
-			w.events += uint64(r.Count)
+			if r.Count > 0 && (r.Kind == event.Read || r.Kind == event.Write) {
+				w.events += uint64(r.Count)
+				w.ranges++
+				w.rangeElems += uint64(r.Count)
+			}
 			w.eng.ProcessRange(r)
 		case event.Migrate:
 			st := &migState{addr: ev.Addr}
@@ -555,14 +585,6 @@ func (w *worker) process(evs []event.Access, rngs []event.Range) (done bool) {
 				d.Worker = w.id
 				w.onDelta(d)
 			}
-		default:
-			if len(w.held) != 0 {
-				if buf, ok := w.held[ev.Addr]; ok {
-					w.held[ev.Addr] = append(buf, *ev)
-					continue
-				}
-			}
-			w.data(ev)
 		}
 	}
 	return done
@@ -617,8 +639,9 @@ const chunkBytes = event.ChunkSize*48 + event.MaxRangesPerChunk*64 + 64
 // merge assembles the uniform Result for every typed mode. It must run after
 // the workers have joined (the flush barrier makes all worker-local state
 // safe to read). stats carries the producer-side counters; queueBytes the
-// chunk memory; sumAccesses selects consumer-side access counting (MT mode,
-// where concurrent producers keep no shared counter).
+// chunk memory; consumerCounts selects consumer-side access and range
+// counting (serial mode, which has no producer, and MT mode, where
+// concurrent producers keep no shared counter).
 //
 // "This step incurs only minor overhead since the local maps are free of
 // duplicates" (§IV) — true for one process, not for a daemon draining
@@ -627,7 +650,7 @@ const chunkBytes = event.ChunkSize*48 + event.MaxRangesPerChunk*64 + 64
 // loop. Loop aggregates merge at key-set granularity: the same carried key
 // may surface on several workers (same source lines, different addresses)
 // and must not be double-counted.
-func (p *pipeline) merge(stats RunStats, queueBytes uint64, sumAccesses bool) *Result {
+func (p *pipeline) merge(stats RunStats, queueBytes uint64, consumerCounts bool) *Result {
 	var mergeT0 time.Time
 	if p.m != nil {
 		mergeT0 = time.Now()
@@ -636,8 +659,10 @@ func (p *pipeline) merge(stats RunStats, queueBytes uint64, sumAccesses bool) *R
 	stores := make([]sig.Store, 0, len(p.workers))
 	nodes := make([]*mergeNode, 0, len(p.workers))
 	for _, w := range p.workers {
-		if sumAccesses {
+		if consumerCounts {
 			res.Stats.Accesses += w.events
+			res.Stats.Ranges += w.ranges
+			res.Stats.RangeElements += w.rangeElems
 		}
 		if w.tr != nil {
 			res.WorkerEvents = append(res.WorkerEvents, w.events)
@@ -785,7 +810,7 @@ type producer struct {
 	// than the modulo function", §IV-A).
 	redirect map[uint64]int
 	heavy    *heavySketch
-	sample   uint64
+	samples  uint64 // data accesses seen by the sketch's sampling cadence
 
 	// comp enables SD3 range compression (rangecomp.go): non-round-robin
 	// chunked routing only, off under Config.NoStrideCompression. instr is
@@ -866,64 +891,53 @@ func (pr *producer) init(pl *pipeline, cfg *Config, rr bool) {
 	}
 }
 
-// access is the per-event hot path: count, sample, then route/collapse/append
-// via put.
-func (pr *producer) access(a event.Access) {
-	if a.Kind == event.Read || a.Kind == event.Write {
-		pr.stats.Accesses++
-		// Sample the access statistics: every 16th access keeps producer
-		// overhead bounded while heavily accessed addresses still dominate
-		// the sketch. The sketch is consumed by rebalance() and by Promote
-		// seeding; when neither is on (the default) sampling is skipped
-		// entirely.
-		if pr.checkEvery > 0 {
-			if pr.sample++; pr.sample&15 == 0 {
-				pr.heavy.Offer(a.Addr)
-			}
-		}
-	}
-	pr.put(a)
-}
-
-// putBatch is the bulk-ingest seam: one decoded chunk's worth of slots, with
-// the per-event access counting hoisted to a single update per batch. Every
-// slot still flows through the same put/accessRange paths as the per-event
-// calls — routing, dup-collapse and stride re-compression behave identically,
-// so the profile is byte-identical to per-event ingestion. RangeRef slots
-// index into ranges; control slots (EpochMark and above) must not appear —
-// the caller splits batches at epoch marks.
+// putBatch is the producer's whole ingest: one chunk's worth of slots, with
+// the access counting hoisted to a single update per batch. Data slots are
+// counted and sampled, then routed, collapsed and appended by put; RangeRef
+// slots index into ranges and go through accessRange; an EpochMark slot is
+// broadcast to every worker at exactly its position (epochMark).
 func (pr *producer) putBatch(accesses []event.Access, ranges []event.Range) {
 	sketch := pr.checkEvery > 0
 	var data uint64
 	for i := range accesses {
 		a := accesses[i]
-		if a.Kind == event.RangeRef {
-			pr.accessRange(&ranges[a.Addr])
-			continue
-		}
-		if a.Kind == event.Read || a.Kind == event.Write {
+		switch a.Kind {
+		case event.Read, event.Write:
 			// A collapsed read (Rep > 0) stands for 1+Rep accesses; the
-			// sketch sampling cadence advances by the same amount so the
-			// heavy-hitter stream matches an uncollapsed feed (the extra
-			// offers repeat the same address, exactly as the duplicates
-			// themselves would have).
+			// sketch sampling cadence advances by the same amount.
 			n := uint64(1 + a.Rep)
 			data += n
 			if sketch {
-				prev := pr.sample
-				pr.sample += n
-				for k := pr.sample>>4 - prev>>4; k > 0; k-- {
-					pr.heavy.Offer(a.Addr)
-				}
+				pr.sample(a.Addr, n)
 			}
+		case event.RangeRef:
+			pr.accessRange(&ranges[a.Addr])
+			continue
+		case event.EpochMark:
+			pr.epochMark(uint32(a.Addr))
+			continue
 		}
 		pr.put(a)
 	}
 	pr.stats.Accesses += data
 }
 
-// put routes, maybe collapses, appends, and pushes when full — access minus
-// the counting prologue, shared between the per-event and batch seams.
+// sample advances the heavy-hitter sketch's sampling cadence by n accesses
+// to addr: every 16th access is offered, which keeps producer overhead
+// bounded while heavily accessed addresses still dominate the sketch. A
+// collapsed read's extra offers repeat the same address, exactly as the
+// duplicates themselves would have. The sketch is consumed by rebalance()
+// and by Promote seeding; when neither is on (the default) sampling is
+// skipped entirely.
+func (pr *producer) sample(addr, n uint64) {
+	prev := pr.samples
+	pr.samples += n
+	for k := pr.samples>>4 - prev>>4; k > 0; k-- {
+		pr.heavy.Offer(addr)
+	}
+}
+
+// put routes, maybe collapses, appends, and pushes when full.
 func (pr *producer) put(a event.Access) {
 	w := 0
 	if !pr.rr {

@@ -60,8 +60,8 @@ func TestNewDispatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.Access(event.Access{Addr: 0x100, Kind: event.Write, Loc: loc.Pack(1, 1), TS: 1})
-			p.Access(event.Access{Addr: 0x100, Kind: event.Read, Loc: loc.Pack(1, 2), TS: 2})
+			put(p, event.Access{Addr: 0x100, Kind: event.Write, Loc: loc.Pack(1, 1), TS: 1})
+			put(p, event.Access{Addr: 0x100, Kind: event.Read, Loc: loc.Pack(1, 2), TS: 2})
 			res := p.Flush()
 			if res.Stats.Accesses != 2 {
 				t.Errorf("accesses = %d, want 2", res.Stats.Accesses)
@@ -284,7 +284,7 @@ func TestExistenceRecyclesChunks(t *testing.T) {
 		if i%3 == 0 {
 			k = event.Write
 		}
-		e.Access(event.Access{Addr: uint64(0x1000 + 8*(i%512)), Kind: k, Loc: loc.Pack(1, 1+i%10)})
+		put(e, event.Access{Addr: uint64(0x1000 + 8*(i%512)), Kind: k, Loc: loc.Pack(1, 1+i%10)})
 	}
 	res := e.Flush()
 	if res.Stats.Chunks < 32 {

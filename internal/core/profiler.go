@@ -14,21 +14,22 @@ import (
 	_ "ddprof/internal/shadow"
 )
 
-// Profiler is the uniform surface of all profiler variants. Access is the
-// instrumentation entry point called once per memory access of the target;
-// AccessBatch is the bulk-ingest seam remote sessions feed decoded trace
-// batches through; Flush drains the pipeline and returns the merged result.
-// For the serial and parallel (sequential-target) profilers Access and
-// AccessBatch must be called from a single goroutine; the multi-threaded-
-// target profiler accepts concurrent callers.
+// Profiler is the uniform surface of all profiler variants: one ingest seam,
+// AccessBatch, and Flush, which drains the pipeline and returns the merged
+// result. Local runs reach it through event.ChunkHook, remote sessions with
+// decoded trace batches. For the serial and parallel (sequential-target)
+// profilers AccessBatch must be called from a single goroutine; the
+// multi-threaded-target profiler accepts concurrent callers.
 type Profiler interface {
-	Access(a event.Access)
-	// AccessBatch ingests one decoded batch: accesses holds point events plus
-	// RangeRef slots whose Addr indexes into ranges — the event.Chunk layout.
-	// Only data and Remove point kinds (plus RangeRef) may appear; control
-	// kinds, EpochMark included, are the caller's to handle between batches.
-	// The resulting profile is byte-identical to Access over the expanded
-	// event sequence (each range as its Count elements in order).
+	// AccessBatch ingests one batch in the event.Chunk layout: accesses
+	// holds point slots plus RangeRef slots whose Addr indexes into ranges.
+	// The slot kinds allowed are Read, Write, Remove, RangeRef and
+	// EpochMark. An EpochMark slot cuts an epoch at exactly its position:
+	// every worker extracts the delta of everything before it and hands it
+	// to Config.OnEpochDelta, with the slot's Addr as the epoch number
+	// (marks must be monotone). The profile is byte-identical to feeding the
+	// expanded event sequence (each range as its Count elements in order)
+	// one slot per batch.
 	AccessBatch(accesses []event.Access, ranges []event.Range)
 	Flush() *Result
 }
@@ -147,11 +148,11 @@ type Config struct {
 	// sig_fpr_predicted_ppm). Costs ~8 bytes/slot of tracking state and one
 	// branch per store operation; off by default.
 	TrackAccuracy bool
-	// OnEpochDelta receives each worker's epoch-delta extraction when the
-	// profiler's EpochMark is driven (see EpochMarker). Callbacks arrive on
-	// worker goroutines — concurrently in parallel modes — and own the
-	// delta's sets. Nil disables extraction: EpochMark becomes a no-op and
-	// the epoch machinery costs nothing.
+	// OnEpochDelta receives each worker's epoch-delta extraction at every
+	// EpochMark slot fed through AccessBatch. Callbacks arrive on worker
+	// goroutines — concurrently in parallel modes — and own the delta's
+	// sets. Nil disables extraction: EpochMark slots become no-ops and the
+	// epoch machinery costs nothing.
 	OnEpochDelta func(*EpochDelta)
 	// TrackBounds enables per-variable address-interval tracking in every
 	// engine (two compares per data access), feeding the address-range
@@ -178,15 +179,10 @@ func (c *Config) store() (sig.Store, error) {
 
 // Serial is the single-threaded profiler of §III: the target program and
 // Algorithm 1 run on the same thread. As a pipeline composition it is the
-// degenerate case — one worker, no transport (Access drives the engine
-// inline), and the shared merge stage producing the Result.
+// degenerate case — one worker, no transport (AccessBatch runs the worker's
+// batch loop inline), and the shared merge stage producing the Result.
 type Serial struct {
-	pl        pipeline
-	eng       *Engine
-	stats     RunStats
-	m         *telemetry.Pipeline
-	published uint64
-	onDelta   func(*EpochDelta)
+	pl pipeline
 }
 
 // NewSerial returns a serial profiler; it panics on an invalid Config (use
@@ -220,75 +216,29 @@ func newSerial(cfg Config) (*Serial, error) {
 	if cfg.TrackBounds {
 		eng.EnableBoundsTracking()
 	}
-	s := &Serial{eng: eng, m: cfg.Metrics, onDelta: cfg.OnEpochDelta}
+	s := &Serial{}
 	s.pl.m = cfg.Metrics
-	s.pl.workers = []*worker{{eng: eng, m: cfg.Metrics}}
+	// The worker counts what it processes (there is no producer to count
+	// for it) and publishes the counts after every batch.
+	s.pl.workers = []*worker{{eng: eng, m: cfg.Metrics, onDelta: cfg.OnEpochDelta, countEvents: true}}
 	return s, nil
 }
 
-// Access implements Profiler.
-func (s *Serial) Access(a event.Access) {
-	if a.Kind == event.Read || a.Kind == event.Write {
-		s.stats.Accesses++
-		// Publish to telemetry in batches so the per-access cost stays one
-		// local increment.
-		if s.m != nil && s.stats.Accesses-s.published >= 1024 {
-			s.m.Events.Add(s.stats.Accesses - s.published)
-			s.published = s.stats.Accesses
-		}
-	}
-	s.eng.Process(a)
-}
-
-// AccessBatch implements Profiler: the whole batch drives the engine in one
-// tight loop — no per-event interface dispatch — with access counting and
-// telemetry publication amortized to one update per batch.
+// AccessBatch implements Profiler: the batch runs through the same
+// worker.process loop the pipeline workers run, inline on the caller's
+// goroutine, with telemetry published once per batch.
 func (s *Serial) AccessBatch(accesses []event.Access, ranges []event.Range) {
-	var data, rngs, relems uint64
-	for i := range accesses {
-		a := &accesses[i]
-		if a.Kind == event.RangeRef {
-			r := &ranges[a.Addr]
-			if r.Count == 0 {
-				continue
-			}
-			if r.Kind == event.Read || r.Kind == event.Write {
-				data += uint64(r.Count)
-				rngs++
-				relems += uint64(r.Count)
-			}
-			s.eng.ProcessRange(r)
-			continue
-		}
-		if a.Kind == event.Read || a.Kind == event.Write {
-			// A collapsed read (Rep > 0) stands for 1+Rep accesses.
-			data += 1 + uint64(a.Rep)
-		}
-		s.eng.Process(*a)
-	}
-	s.stats.Accesses += data
-	s.stats.Ranges += rngs
-	s.stats.RangeElements += relems
-	if s.m != nil {
-		if rngs > 0 {
-			s.m.Ranges.Add(rngs)
-			s.m.RangeElements.Add(relems)
-		}
-		if s.stats.Accesses-s.published >= 1024 {
-			s.m.Events.Add(s.stats.Accesses - s.published)
-			s.published = s.stats.Accesses
-		}
+	w := s.pl.workers[0]
+	w.process(accesses, ranges)
+	if w.m != nil {
+		w.publishCounts()
 	}
 }
 
 // Flush implements Profiler.
 func (s *Serial) Flush() *Result {
 	s.pl.beginFlush()
-	if s.m != nil {
-		s.m.Events.Add(s.stats.Accesses - s.published)
-		s.published = s.stats.Accesses
-	}
-	return s.pl.merge(s.stats, 0, false)
+	return s.pl.merge(RunStats{}, 0, true)
 }
 
 // publishStoreTelemetry records the flush-time store gauges: the mean

@@ -256,8 +256,15 @@ func (pr *producer) accessRange(r *event.Range) {
 		}
 	}
 	if !split {
+		if data {
+			pr.stats.Accesses += uint64(r.Count)
+		}
 		for j := uint32(0); j < r.Count; j++ {
-			pr.access(r.At(j))
+			a := r.At(j)
+			if data && pr.checkEvery > 0 {
+				pr.sample(a.Addr, 1)
+			}
+			pr.put(a)
 		}
 		return
 	}
@@ -265,9 +272,9 @@ func (pr *producer) accessRange(r *event.Range) {
 	if pr.redistributeEvery > 0 {
 		// The heavy-hitter sketch accounts ranges by element count: offer
 		// every 16th element, exactly as the point path samples.
-		base := pr.sample
-		pr.sample += uint64(r.Count)
-		for k := (base &^ 15) + 16; k <= pr.sample; k += 16 {
+		base := pr.samples
+		pr.samples += uint64(r.Count)
+		for k := (base &^ 15) + 16; k <= pr.samples; k += 16 {
 			pr.heavy.Offer(r.Base + (k-base-1)*r.Stride)
 		}
 	}

@@ -1,10 +1,11 @@
 // Package event defines the memory-access event stream the profiler consumes.
 //
-// The instrumentation substrate (internal/interp) calls the profiler once per
-// memory access; the profiler's parallel pipeline groups accesses into fixed
+// The instrumentation substrate (internal/vm) calls a Hook once per memory
+// access; for sequential targets ChunkHook collects the accesses into fixed
 // size Chunks (paper §IV: "the main thread ... collects memory accesses in
-// chunks, whose size can be configured"), pushes full chunks to per-worker
-// queues, and recycles empty chunks through a pool.
+// chunks, whose size can be configured") and hands them to the profiler,
+// whose parallel pipeline routes them into per-worker chunks, pushes full
+// chunks to per-worker queues, and recycles empty chunks through a pool.
 package event
 
 import "ddprof/internal/loc"

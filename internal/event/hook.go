@@ -2,9 +2,10 @@ package event
 
 // Hook receives one event per instrumented memory access. It is the single
 // contract between the instrumentation producers (the tree-walking
-// interpreter and the bytecode VM) and every consumer: core.Serial,
-// core.Parallel and core.MT implement it directly, as do the trace writer
-// and the experiment capture buffers.
+// interpreter and the bytecode VM) and their consumers: ChunkHook, which
+// carries a sequential target's accesses into a profiler's batch seam;
+// core.MT, whose Access multi-threaded targets call inside their lock
+// regions; the trace writers; and the experiment capture buffers.
 type Hook interface {
 	Access(a Access)
 }
@@ -14,6 +15,38 @@ type HookFunc func(a Access)
 
 // Access implements Hook.
 func (f HookFunc) Access(a Access) { f(a) }
+
+// ChunkHook is the Hook that carries a sequential target's accesses into a
+// batch seam (core.Profiler.AccessBatch): it fills one Chunk and hands each
+// full chunk to feed; Close hands over the tail. feed must not keep the
+// slice. Not safe for concurrent callers.
+type ChunkHook struct {
+	feed func([]Access, []Range)
+	c    *Chunk
+}
+
+// NewChunkHook returns a ChunkHook feeding feed.
+func NewChunkHook(feed func(accesses []Access, ranges []Range)) *ChunkHook {
+	return &ChunkHook{feed: feed, c: NewChunk()}
+}
+
+// Access implements Hook.
+func (h *ChunkHook) Access(a Access) {
+	h.c.Append(a)
+	if h.c.Full() {
+		h.feed(h.c.Events, nil)
+		h.c.Reset()
+	}
+}
+
+// Close hands the buffered tail to feed; call it once the target has
+// finished, before flushing the profiler.
+func (h *ChunkHook) Close() {
+	if h.c.Len() > 0 {
+		h.feed(h.c.Events, nil)
+		h.c.Reset()
+	}
+}
 
 // Recorder is a Hook that buffers the full access stream so one target run
 // can be replayed into many profiler configurations (or compared against

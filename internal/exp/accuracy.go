@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"ddprof/internal/interp"
 	"ddprof/internal/report"
 	"ddprof/internal/sig"
 	"ddprof/internal/stats"
@@ -153,7 +152,7 @@ func MergeAblation(opt Options) (*report.Table, []MergeRow, error) {
 		}
 		p := w.Build(opt.wcfg())
 		prof := perfectSerial(p)
-		if _, err := runVM(p, prof, interp.Options{}); err != nil {
+		if _, err := profileVM(p, prof.AccessBatch); err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
 		res := prof.Flush()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ddprof/internal/core"
-	"ddprof/internal/interp"
 	"ddprof/internal/report"
 	"ddprof/internal/workloads"
 )
@@ -53,7 +52,7 @@ func Balance(opt Options) (*report.Table, []BalanceRow, error) {
 				RedistributeEvery: redistribute,
 				Metrics:           Telemetry,
 			})
-			if _, err := runVM(p, prof, interp.Options{}); err != nil {
+			if _, err := profileVM(p, prof.AccessBatch); err != nil {
 				return nil, err
 			}
 			return prof.Flush(), nil
@@ -72,7 +71,7 @@ func Balance(opt Options) (*report.Table, []BalanceRow, error) {
 		row.Migrations = res.Stats.Migrations
 
 		ex := core.NewExistence(core.Config{Workers: workers})
-		if _, err := runVM(w.Build(opt.wcfg()), ex, interp.Options{}); err != nil {
+		if _, err := profileVM(w.Build(opt.wcfg()), ex.AccessBatch); err != nil {
 			return nil, nil, fmt.Errorf("%s existence: %w", name, err)
 		}
 		row.RoundRobin = core.Imbalance(ex.Flush().WorkerEvents)

@@ -107,10 +107,21 @@ func (o Options) wcfg() workloads.Config {
 	return workloads.Config{Scale: o.Scale, Threads: o.TargetThreads}
 }
 
-// replay feeds a recorded stream into a profiler and flushes it.
+// profileVM executes p on the VM with a sequential-target profiler fed
+// through the chunk hook; the caller flushes it.
+func profileVM(p *minilang.Program, feed func([]event.Access, []event.Range)) (*interp.RunInfo, error) {
+	h := event.NewChunkHook(feed)
+	info, err := runVM(p, h, interp.Options{})
+	h.Close()
+	return info, err
+}
+
+// replay feeds a recorded stream into a profiler in chunk-sized batches and
+// flushes it.
 func replay(c *event.Recorder, p core.Profiler) *core.Result {
-	for _, a := range c.Events() {
-		p.Access(a)
+	evs := c.Events()
+	for i := 0; i < len(evs); i += event.ChunkSize {
+		p.AccessBatch(evs[i:min(i+event.ChunkSize, len(evs))], nil)
 	}
 	return p.Flush()
 }

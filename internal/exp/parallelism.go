@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ddprof/internal/analysis"
-	"ddprof/internal/interp"
 	"ddprof/internal/report"
 	"ddprof/internal/workloads"
 )
@@ -37,7 +36,7 @@ func Table2(opt Options) (*report.Table, []Table2Row, error) {
 		// Perfect (DP-grade) run.
 		p1 := w.Build(opt.wcfg())
 		dpProf := perfectSerial(p1)
-		info, err := runVM(p1, dpProf, interp.Options{})
+		info, err := profileVM(p1, dpProf.AccessBatch)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
@@ -47,7 +46,7 @@ func Table2(opt Options) (*report.Table, []Table2Row, error) {
 		// Signature run.
 		p2 := w.Build(opt.wcfg())
 		sigProf := sigSerial(p2, slots)
-		info2, err := runVM(p2, sigProf, interp.Options{})
+		info2, err := profileVM(p2, sigProf.AccessBatch)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s(sig): %w", w.Name, err)
 		}

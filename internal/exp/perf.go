@@ -47,7 +47,7 @@ func Fig5(opt Options) (*report.Table, []Fig5Row, error) {
 			d, err := timeRun(opt.Reps, func() error {
 				p := w.Build(opt.wcfg())
 				prof := mk(p)
-				if _, err := runVM(p, prof, interp.Options{}); err != nil {
+				if _, err := profileVM(p, prof.AccessBatch); err != nil {
 					return err
 				}
 				prof.Flush()
@@ -210,7 +210,7 @@ func Fig7(opt Options) (*report.Table, []Fig7Row, error) {
 			// like the paper (6.25e6 x 16 = 1e8 total).
 			perWorker := opt.SlotsPerWorker * 16 / workers
 			prof := core.NewParallel(core.Config{Workers: workers, SlotsPerWorker: perWorker, Meta: p.Meta, Metrics: Telemetry})
-			if _, err := runVM(p, prof, interp.Options{}); err != nil {
+			if _, err := profileVM(p, prof.AccessBatch); err != nil {
 				return nil, nil, fmt.Errorf("%s %dT: %w", w.Name, workers, err)
 			}
 			res := prof.Flush()

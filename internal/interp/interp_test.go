@@ -29,10 +29,12 @@ func runProfiled(t *testing.T, p *Program) (*RunInfo, *core.Result) {
 		Backend: "perfect",
 		Meta:    p.Meta,
 	})
-	info, err := Run(p, prof, Options{})
+	h := event.NewChunkHook(prof.AccessBatch)
+	info, err := Run(p, h, Options{})
 	if err != nil {
 		t.Fatalf("run %s: %v", p.Name, err)
 	}
+	h.Close()
 	return info, prof.Flush()
 }
 
@@ -196,10 +198,12 @@ func TestProfiledOutputFormat(t *testing.T) {
 		})
 	})
 	prof := core.NewSerial(core.Config{Backend: "perfect", Meta: p.Meta})
-	info, err := Run(p, prof, Options{})
+	h := event.NewChunkHook(prof.AccessBatch)
+	info, err := Run(p, h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.Close()
 	var sb strings.Builder
 	if err := dep.Write(&sb, prof.Flush().Deps, p.Tab, info.LoopRecords, dep.WriterOptions{}); err != nil {
 		t.Fatal(err)
@@ -520,10 +524,12 @@ func main() {
 	// Loop metadata flows through: the fill loop is OMP and parallelizable.
 	prof := core.NewSerial(core.Config{Backend: "perfect", Meta: p.Meta})
 	p2, _ := ParseProgram("exec.ml", src)
-	info2, err := Run(p2, prof, Options{})
+	h := event.NewChunkHook(prof.AccessBatch)
+	info2, err := Run(p2, h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.Close()
 	_ = info2
 	res := prof.Flush()
 	for _, l := range p2.Meta.Loops() {

@@ -7,6 +7,7 @@ import (
 
 	"ddprof/internal/core"
 	"ddprof/internal/dep"
+	"ddprof/internal/event"
 	"ddprof/internal/interp"
 	"ddprof/internal/loc"
 	"ddprof/internal/minilang"
@@ -50,6 +51,7 @@ func varID(t *testing.T, p *minilang.Program, name string) loc.VarID {
 // (reduction-variable) dependences exactly match the exact backend's, and
 // keep the session's total store bytes under the daemon budget.
 func TestRemoteHybridSession(t *testing.T) {
+	checkGoroutines(t)
 	const budget = 4 << 20
 	reg := telemetry.NewRegistry()
 	srv := New(Config{
@@ -65,9 +67,11 @@ func TestRemoteHybridSession(t *testing.T) {
 
 	// Exact reference, profiled in-process.
 	ref := core.NewSerial(core.Config{Backend: "perfect", Meta: p.Meta})
-	if _, err := interp.Run(p, ref, interp.Options{}); err != nil {
+	h := event.NewChunkHook(ref.AccessBatch)
+	if _, err := interp.Run(p, h, interp.Options{}); err != nil {
 		t.Fatal(err)
 	}
+	h.Close()
 	want := ref.Flush()
 
 	conn, err := Dial(ln.Addr().String())
@@ -116,6 +120,7 @@ func TestRemoteHybridSession(t *testing.T) {
 // MaxStoreBytes — unbounded stores outright, bounded ones that exceed the
 // budget across the session's stores — and names the budget in the error.
 func TestBackendAdmission(t *testing.T) {
+	checkGoroutines(t)
 	srv := New(Config{
 		WorkersPerSession: 2,
 		MaxStoreBytes:     1 << 20,

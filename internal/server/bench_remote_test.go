@@ -185,8 +185,8 @@ func BenchmarkRemoteIngest(b *testing.B) {
 			start := time.Now()
 			b.ResetTimer()
 			for i := 0; i < passes; i++ {
-				for j := range stream {
-					prof.Access(stream[j])
+				for j := 0; j < len(stream); j += event.ChunkSize {
+					prof.AccessBatch(stream[j:min(j+event.ChunkSize, len(stream))], nil)
 				}
 			}
 			prof.Flush()

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"io"
 	"net"
 	"testing"
@@ -31,6 +32,7 @@ func FuzzHandshake(f *testing.F) {
 // the session must terminate (evicted or completed) without panicking and
 // without leaking pipeline goroutines past the response.
 func FuzzSession(f *testing.F) {
+	checkGoroutines(f)
 	var good bytes.Buffer
 	p := testProgram("seed", 32)
 	writeHandshake(&good, clientHandshake(p, ClientOptions{Backend: "perfect"}))
@@ -54,6 +56,7 @@ func FuzzSession(f *testing.F) {
 		Registry:    telemetry.NewRegistry(),
 		MaxSessions: 4,
 	})
+	f.Cleanup(func() { srv.Shutdown(context.Background()) }) // stops the snapshotter New starts
 	f.Fuzz(func(t *testing.T, data []byte) {
 		client, server := net.Pipe()
 		done := make(chan struct{})

@@ -113,7 +113,7 @@ func replayTrace(t *testing.T, prof core.Profiler, raw []byte) {
 			prof.AccessBatch([]event.Access{{Kind: event.RangeRef}}, []event.Range{rec.Range})
 			continue
 		}
-		prof.Access(rec.Access)
+		prof.AccessBatch([]event.Access{rec.Access}, nil)
 	}
 }
 
@@ -125,6 +125,7 @@ func replayTrace(t *testing.T, prof core.Profiler, raw []byte) {
 // decoder with its duplicate collapse, and the bulk-ingest seam — to the
 // local semantics.
 func TestRemoteLocalGoldenMatrix(t *testing.T) {
+	checkGoroutines(t)
 	const slots = 1 << 16
 	backends := []string{
 		fmt.Sprintf("signature:slots=%d", slots),
@@ -209,9 +210,11 @@ func TestRemoteLocalGoldenMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := interp.Run(p, prof, interp.Options{}); err != nil {
+					h := event.NewChunkHook(prof.AccessBatch)
+					if _, err := interp.Run(p, h, interp.Options{}); err != nil {
 						t.Fatal(err)
 					}
+					h.Close()
 					res = prof.Flush()
 				}
 

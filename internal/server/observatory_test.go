@@ -113,6 +113,7 @@ func runObsSession(t *testing.T, addr string, wire []byte) []byte {
 // every frame yields the session's exact final profile, byte-identical under
 // DDP1.
 func TestWatchE2E(t *testing.T) {
+	checkGoroutines(t)
 	srv := New(Config{Registry: telemetry.NewRegistry(), IdleTimeout: 10 * time.Second})
 	ln := listenTCP(t)
 	go srv.Serve(ln)
@@ -200,6 +201,7 @@ func TestWatchE2E(t *testing.T) {
 // receives one catch-up frame, already marked final, holding the full
 // profile.
 func TestWatchCompletedSession(t *testing.T) {
+	checkGoroutines(t)
 	srv := New(Config{Registry: telemetry.NewRegistry()})
 	ln := listenTCP(t)
 	go srv.Serve(ln)
@@ -234,6 +236,7 @@ func TestWatchCompletedSession(t *testing.T) {
 // and a watcher of a session that dies mid-stream learns no final profile
 // exists.
 func TestWatchRefusals(t *testing.T) {
+	checkGoroutines(t)
 	srv := New(Config{Registry: telemetry.NewRegistry(), IdleTimeout: 5 * time.Second})
 	ln := listenTCP(t)
 	go srv.Serve(ln)
@@ -288,6 +291,7 @@ func TestWatchRefusals(t *testing.T) {
 // session is streaming — the race-detector coverage for the RLock query
 // paths, and the guarantee that queries answer without pausing ingest.
 func TestQueryEndpointsDuringIngest(t *testing.T) {
+	checkGoroutines(t)
 	srv := New(Config{Registry: telemetry.NewRegistry(), IdleTimeout: 10 * time.Second})
 	ln := listenTCP(t)
 	go srv.Serve(ln)
@@ -470,6 +474,7 @@ func TestQueryEndpointsDuringIngest(t *testing.T) {
 // baseline against the live profile — identical for the session's own
 // profile, and asymmetric for a different target's.
 func TestDiffEndpoint(t *testing.T) {
+	checkGoroutines(t)
 	srv := New(Config{Registry: telemetry.NewRegistry()})
 	ln := listenTCP(t)
 	go srv.Serve(ln)
@@ -544,8 +549,10 @@ func TestDiffEndpoint(t *testing.T) {
 // SessionSeriesMax, overflow sessions share one series, and a session's
 // series leaves /metrics when it closes.
 func TestSessionSeriesLifecycle(t *testing.T) {
+	checkGoroutines(t)
 	reg := telemetry.NewRegistry()
 	srv := New(Config{Registry: reg, SessionSeriesMax: 2})
+	defer srv.Shutdown(context.Background()) // stops the snapshotter New starts
 
 	has := func(name string) bool {
 		_, ok := reg.Snapshot()[name]

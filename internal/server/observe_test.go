@@ -15,6 +15,7 @@ import (
 )
 
 func TestTimelineEndpoint(t *testing.T) {
+	checkGoroutines(t)
 	reg := telemetry.NewRegistry()
 	srv := New(Config{Registry: reg, SnapshotInterval: time.Hour, SnapshotSamples: 16})
 	defer srv.Shutdown(context.Background())
@@ -50,6 +51,7 @@ func TestTimelineEndpoint(t *testing.T) {
 }
 
 func TestTimelineDisabled(t *testing.T) {
+	checkGoroutines(t)
 	srv := New(Config{Registry: telemetry.NewRegistry(), SnapshotSamples: -1})
 	defer srv.Shutdown(context.Background())
 	if srv.Snapshotter() != nil {
@@ -63,6 +65,7 @@ func TestTimelineDisabled(t *testing.T) {
 }
 
 func TestPprofEndpoint(t *testing.T) {
+	checkGoroutines(t)
 	srv := New(Config{Registry: telemetry.NewRegistry(), SnapshotSamples: -1})
 	defer srv.Shutdown(context.Background())
 	rec := httptest.NewRecorder()
@@ -84,6 +87,7 @@ func TestPprofEndpoint(t *testing.T) {
 // stage-latency quantile lines as soon as the pipeline group exists (the
 // histograms are interned at server construction).
 func TestMetricsHistogramQuantiles(t *testing.T) {
+	checkGoroutines(t)
 	reg := telemetry.NewRegistry()
 	srv := New(Config{Registry: reg, SnapshotSamples: -1})
 	defer srv.Shutdown(context.Background())

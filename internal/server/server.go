@@ -700,12 +700,15 @@ func (s *Server) runSession(sess *session) (verdict func() error, err error) {
 	// records in the trace and the daemon's interval ticker — and both
 	// advance one server-side monotone counter, so frame epochs are ordered
 	// no matter how the two interleave. The ticker only raises a flag; the
-	// mark itself is cut on the ingest goroutine between records, which the
-	// sequential-target producer requires.
-	marker, _ := prof.(core.EpochMarker)
+	// mark itself is fed in-band on the ingest goroutine, as a one-slot batch
+	// between decoded batches, which the sequential-target producer requires.
 	var epoch uint32
+	cut := func() {
+		epoch++
+		prof.AccessBatch([]event.Access{{Addr: uint64(epoch), Kind: event.EpochMark}}, nil)
+	}
 	var tickPending atomic.Bool
-	if s.cfg.EpochInterval > 0 && marker != nil {
+	if s.cfg.EpochInterval > 0 {
 		tk := time.NewTicker(s.cfg.EpochInterval)
 		tickStop := make(chan struct{})
 		go func() {
@@ -729,19 +732,18 @@ func (s *Server) runSession(sess *session) (verdict func() error, err error) {
 	// buffers, the decode goroutine batch-decodes them into chunks, and this
 	// goroutine feeds validated batches to the pipeline's bulk seam —
 	// overlapping socket read, decode, and profiling. Epoch marks (explicit
-	// EpochMark records and the interval ticker's pending flag) are still cut
-	// here, on the Access-calling goroutine, at exactly their stream
-	// positions: the decoder carries explicit marks as chunk slots and
-	// feedBatch splits batches around them.
+	// EpochMark records and the interval ticker's pending flag) are fed here,
+	// on the AccessBatch-calling goroutine, at exactly their stream
+	// positions: the decoder carries explicit marks as chunk slots, which
+	// feedBatch stamps with the session's epoch numbers.
 	ing := startIngest(sess.conn, br, s.cfg.MaxFrame, s.cfg.DecodeDepth)
 	defer ing.stop()
 	for ib := range ing.out {
-		if tickPending.Load() && marker != nil {
+		if tickPending.Load() {
 			tickPending.Store(false)
-			epoch++
-			marker.EpochMark(epoch)
+			cut()
 		}
-		n, err := feedBatch(prof, marker, ib, &epoch)
+		n, err := feedBatch(prof, ib, &epoch)
 		sess.events.Add(n)
 		series.events.Add(n)
 		series.batch.Observe(int64(len(ib.c.Events)))
@@ -763,10 +765,7 @@ func (s *Server) runSession(sess *session) (verdict func() error, err error) {
 	// and its bounds snapshot — before the merge; the post-merge remainder
 	// below is then normally empty, but extracting it keeps the "union of
 	// deltas equals the final profile" guarantee unconditional.
-	if marker != nil {
-		epoch++
-		marker.EpochMark(epoch)
-	}
+	cut()
 	res = flush()
 	fin := &core.EpochDelta{Epoch: epoch + 1, Deps: dep.NewSet()}
 	res.Deps.ExtractDelta(fin.Deps)
@@ -802,22 +801,22 @@ func (s *Server) runSession(sess *session) (verdict func() error, err error) {
 	}, nil
 }
 
-// feedBatch validates one decoded batch and feeds it to the pipeline's bulk
-// seam, splitting at EpochMark slots so explicit epoch cuts land at exactly
-// their record position. It returns the number of target events fed (ranges
-// weighted by element count). Pipeline control kinds beyond Remove are
-// daemon-internal; a stream carrying them is corrupt (a hostile one could
-// hijack the migration mailboxes).
-func feedBatch(prof core.Profiler, marker core.EpochMarker, b ingestBatch, epoch *uint32) (uint64, error) {
+// feedBatch validates one decoded batch, stamps each EpochMark slot with the
+// session's next epoch number, and feeds the batch whole to the pipeline's
+// seam, where each mark cuts its epoch at exactly its record position. It
+// returns the number of target events fed (ranges weighted by element count).
+// Pipeline control kinds other than EpochMark are daemon-internal; a stream
+// carrying them is corrupt (a hostile one could hijack the migration
+// mailboxes), so such a batch is refused whole.
+func feedBatch(prof core.Profiler, b ingestBatch, epoch *uint32) (uint64, error) {
 	evs, rngs := b.c.Events, b.c.Ranges
 	if !b.ctl {
-		// Pure data batch: no epoch marks to cut, no control kinds to
+		// Pure data batch: no epoch marks to stamp, no control kinds to
 		// reject, and the decoder already counted the events.
 		prof.AccessBatch(evs, rngs)
 		return b.events, nil
 	}
 	var events, weight uint64
-	seg := 0
 	for i := range evs {
 		a := &evs[i]
 		switch {
@@ -826,29 +825,18 @@ func feedBatch(prof core.Profiler, marker core.EpochMarker, b ingestBatch, epoch
 			events += n
 			weight += n
 		case a.Kind == event.EpochMark:
-			if i > seg {
-				prof.AccessBatch(evs[seg:i], rngs)
-			}
-			seg = i + 1
+			*epoch++
+			a.Addr = uint64(*epoch)
 			weight++
-			if marker != nil {
-				*epoch++
-				marker.EpochMark(*epoch)
-			}
 		case a.Kind > event.Remove:
-			if i > seg {
-				prof.AccessBatch(evs[seg:i], rngs)
-			}
-			return events, fmt.Errorf("trace stream: event %d: control kind %v not allowed", b.base+weight, a.Kind)
+			return 0, fmt.Errorf("trace stream: event %d: control kind %v not allowed", b.base+weight, a.Kind)
 		default:
 			// A collapsed read slot stands for 1+Rep wire records.
 			events += 1 + uint64(a.Rep)
 			weight += 1 + uint64(a.Rep)
 		}
 	}
-	if seg < len(evs) {
-		prof.AccessBatch(evs[seg:], rngs)
-	}
+	prof.AccessBatch(evs, rngs)
 	return events, nil
 }
 

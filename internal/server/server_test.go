@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -16,11 +18,34 @@ import (
 
 	"ddprof/internal/core"
 	"ddprof/internal/dep"
+	"ddprof/internal/event"
 	"ddprof/internal/interp"
 	"ddprof/internal/loc"
 	"ddprof/internal/minilang"
 	"ddprof/internal/telemetry"
 )
+
+// checkGoroutines fails tb if the goroutines it started have not all exited
+// shortly after it ends. It records the goroutine count now and, registered
+// with Cleanup, runs after the test's own deferred Shutdown: it polls
+// runtime.NumGoroutine for up to 5 s until the count is back down, and on
+// timeout fails with the full goroutine dump. Server tests do not run in
+// parallel, so a per-test baseline is sound.
+func checkGoroutines(tb testing.TB) {
+	base := runtime.NumGoroutine()
+	tb.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				var dump strings.Builder
+				pprof.Lookup("goroutine").WriteTo(&dump, 2)
+				tb.Errorf("goroutine leak: %d at start, %d after shutdown\n%s", base, runtime.NumGoroutine(), dump.String())
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+}
 
 // testProgram builds a target with carried and independent dependences; n
 // scales the work so different clients stream different traces.
@@ -55,9 +80,11 @@ func localProfileBytes(t *testing.T, p *minilang.Program) []byte {
 		Backend: "perfect",
 		Meta:    p.Meta,
 	})
-	if _, err := interp.Run(p, prof, interp.Options{}); err != nil {
+	h := event.NewChunkHook(prof.AccessBatch)
+	if _, err := interp.Run(p, h, interp.Options{}); err != nil {
 		t.Fatal(err)
 	}
+	h.Close()
 	res := prof.Flush()
 	tab := loc.NewTable()
 	for i := 0; i < p.Tab.NumVars(); i++ {
@@ -101,6 +128,7 @@ func listenTCP(t *testing.T) net.Listener {
 // byte-identical to in-process profiling, and the metrics endpoint must show
 // nonzero queue depth and event rate.
 func TestE2EConcurrentSessions(t *testing.T) {
+	checkGoroutines(t)
 	reg := telemetry.NewRegistry()
 	srv := New(Config{
 		WorkerBudget:      8,
@@ -274,6 +302,7 @@ func assertMetricPositive(t *testing.T, body, name string) {
 // (started = completed + evicted + active), over sequential and concurrent
 // sessions alike.
 func TestVerdictImpliesRetired(t *testing.T) {
+	checkGoroutines(t)
 	srv := New(Config{WorkerBudget: 4, WorkersPerSession: 2, Registry: telemetry.NewRegistry()})
 	ln := listenTCP(t)
 	go srv.Serve(ln)
@@ -348,6 +377,7 @@ func TestVerdictImpliesRetired(t *testing.T) {
 // TestMTRemoteSession profiles a multi-threaded target remotely: the trace is
 // recorded through a SyncWriter and the daemon runs with race checking.
 func TestMTRemoteSession(t *testing.T) {
+	checkGoroutines(t)
 	srv := New(Config{Registry: telemetry.NewRegistry()})
 	ln := listenTCP(t)
 	go srv.Serve(ln)
@@ -385,6 +415,7 @@ func TestMTRemoteSession(t *testing.T) {
 // TestSessionLimit: a connection beyond MaxSessions is refused with an
 // explanatory error response.
 func TestSessionLimit(t *testing.T) {
+	checkGoroutines(t)
 	srv := New(Config{MaxSessions: 1, IdleTimeout: 2 * time.Second, Registry: telemetry.NewRegistry()})
 	ln := listenTCP(t)
 	go srv.Serve(ln)
@@ -412,6 +443,7 @@ func TestSessionLimit(t *testing.T) {
 // TestShutdownDrain: Shutdown lets an in-flight session finish and refuses
 // new connects.
 func TestShutdownDrain(t *testing.T) {
+	checkGoroutines(t)
 	srv := New(Config{Registry: telemetry.NewRegistry()})
 	ln := listenTCP(t)
 	go srv.Serve(ln)
@@ -511,6 +543,7 @@ func (pipeAddr) String() string  { return "pipe" }
 // force-close a retired session whose verdict write is blocked on a client
 // that never reads, instead of waiting out the idle deadline.
 func TestShutdownDeadlineClosesVerdictWrites(t *testing.T) {
+	checkGoroutines(t)
 	srv := New(Config{Registry: telemetry.NewRegistry(), IdleTimeout: 10 * time.Second})
 	ln := newPipeListener()
 	go srv.Serve(ln)
@@ -556,6 +589,60 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // TestHandshakeRoundTrip covers the preamble codec, including the loop
 // metadata tables.
+// TestFeedBatchStampsEpochs: feedBatch numbers every EpochMark slot from the
+// session's own counter, whatever payload the client wrote into it, and the
+// pipeline cuts each epoch at exactly its slot. A batch carrying a
+// pipeline-internal control kind is refused whole.
+func TestFeedBatchStampsEpochs(t *testing.T) {
+	var deltas []*core.EpochDelta
+	prof := core.NewSerial(core.Config{Backend: "perfect", OnEpochDelta: func(d *core.EpochDelta) {
+		deltas = append(deltas, d)
+	}})
+	w := event.Access{Addr: 0x100, Kind: event.Write, Loc: loc.Pack(1, 1)}
+	mark := event.Access{Addr: 99, Kind: event.EpochMark} // the client's numbering
+	c := event.NewChunk()
+	for _, a := range []event.Access{w, mark, w, w, mark, w} {
+		c.Append(a)
+	}
+	epoch := uint32(4)
+	n, err := feedBatch(prof, ingestBatch{c: c, ctl: true}, &epoch)
+	if err != nil || n != 4 {
+		t.Fatalf("feedBatch = %d, %v; want 4 events", n, err)
+	}
+	if epoch != 6 {
+		t.Errorf("session epoch %d after two marks from 4, want 6", epoch)
+	}
+	res := prof.Flush()
+	if len(deltas) != 2 {
+		t.Fatalf("%d deltas, want 2", len(deltas))
+	}
+	// Epoch 5 holds the INIT write, epoch 6 the two WAWs after it; the last
+	// write's WAW is left for the final remainder.
+	for i, want := range []struct {
+		epoch     uint32
+		instances uint64
+	}{{5, 1}, {6, 2}} {
+		if d := deltas[i]; d.Epoch != want.epoch || d.Deps.Instances() != want.instances {
+			t.Errorf("delta %d: epoch %d with %d instances, want epoch %d with %d",
+				i, d.Epoch, d.Deps.Instances(), want.epoch, want.instances)
+		}
+	}
+	if res.Deps.Instances() != 4 {
+		t.Errorf("final profile holds %d instances, want 4", res.Deps.Instances())
+	}
+
+	bad := event.NewChunk()
+	bad.Append(w)
+	bad.Append(event.Access{Addr: 0x100, Kind: event.Migrate})
+	ref := core.NewSerial(core.Config{Backend: "perfect"})
+	if _, err := feedBatch(ref, ingestBatch{c: bad, ctl: true}, &epoch); err == nil || !strings.Contains(err.Error(), "not allowed") {
+		t.Errorf("control kind accepted: %v", err)
+	}
+	if got := ref.Flush().Stats.Accesses; got != 0 {
+		t.Errorf("refused batch fed %d accesses", got)
+	}
+}
+
 func TestHandshakeRoundTrip(t *testing.T) {
 	p := testProgram("codec", 64)
 	in := clientHandshake(p, ClientOptions{Workers: 3, Backend: "perfect", MT: true})

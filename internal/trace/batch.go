@@ -50,9 +50,8 @@ type batchScanner interface {
 // end of stream (io.EOF may accompany a nonzero slot count), or — once at
 // least one record has been decoded — when the input has no further bytes
 // buffered, so batch boundaries track the cadence of arriving frames rather
-// than blocking on the network mid-batch. NextBatch must not be mixed with
-// Next on the same Reader (a pending range expansion would be dropped);
-// mixing with NextRecord is fine.
+// than blocking on the network mid-batch. Mixing NextBatch with NextRecord on
+// the same Reader is fine.
 func (r *Reader) NextBatch(c *event.Chunk) (int, error) {
 	appended := 0
 	r.batchCtl = false

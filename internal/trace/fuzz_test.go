@@ -120,8 +120,8 @@ func FuzzReplay(f *testing.F) {
 
 // FuzzRangeFrame hardens the range-record decode path: arbitrary bytes must
 // decode or error, never panic; every decoded range must be in-bounds and
-// non-wrapping; the Next()-expansion of a stream must agree with its
-// NextRecord() view; and whatever decodes must re-encode losslessly.
+// non-wrapping; the per-element expansion of a stream (ReadAll) must agree
+// with its NextRecord() view; and whatever decodes must re-encode losslessly.
 func FuzzRangeFrame(f *testing.F) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
@@ -150,7 +150,7 @@ func FuzzRangeFrame(f *testing.F) {
 			if err != nil {
 				// The expansion view must fail on the same stream.
 				if _, err2 := ReadAll(bytes.NewReader(data)); err2 == nil {
-					t.Fatalf("NextRecord failed (%v) but Next replayed cleanly", err)
+					t.Fatalf("NextRecord failed (%v) but ReadAll replayed cleanly", err)
 				}
 				return
 			}
@@ -174,7 +174,7 @@ func FuzzRangeFrame(f *testing.F) {
 		// The per-element view must be exactly the expansion of the records.
 		evs, err := ReadAll(bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("NextRecord replayed cleanly but Next failed: %v", err)
+			t.Fatalf("NextRecord replayed cleanly but ReadAll failed: %v", err)
 		}
 		var want []event.Access
 		for _, rec := range recs {

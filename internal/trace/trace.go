@@ -149,9 +149,9 @@ func (s *SyncWriter) Err() error {
 	return s.w.Err()
 }
 
-// Reader decodes a trace stream one event at a time — the streaming
-// counterpart of Replay, used by the ddprofd server to feed network sessions
-// into a pipeline without buffering the whole trace.
+// Reader decodes a trace stream one record at a time (NextRecord) or one
+// chunk at a time (NextBatch, which ProfileTrace and the ddprofd server use
+// to feed profilers) without buffering the whole trace.
 //
 // Reader is hardened against hostile input: a stream cut mid-record returns
 // an error wrapping io.ErrUnexpectedEOF, and corrupt bytes (unknown event
@@ -161,10 +161,6 @@ type Reader struct {
 	br   ByteScanner
 	prev event.Access
 	n    uint64
-	// Pending expansion of a decoded range record: Next hands out
-	// pendRange.At(pendNext) until the run is drained.
-	pendRange event.Range
-	pendNext  uint32
 	// batchCtl records whether the most recent NextBatch decoded any
 	// control record; see BatchControl.
 	batchCtl bool
@@ -201,28 +197,6 @@ func noEOF(err error) error {
 	return err
 }
 
-// Next decodes one event, expanding range records (one compressed strided
-// run on the wire) into their per-element point accesses. It returns io.EOF
-// at a clean end of stream (a record boundary); a stream that ends inside a
-// record returns an error wrapping io.ErrUnexpectedEOF instead.
-func (r *Reader) Next() (event.Access, error) {
-	if r.pendNext < r.pendRange.Count {
-		a := r.pendRange.At(r.pendNext)
-		r.pendNext++
-		return a, nil
-	}
-	rec, err := r.NextRecord()
-	if err != nil {
-		return event.Access{}, err
-	}
-	if rec.IsRange {
-		r.pendRange = rec.Range
-		r.pendNext = 1
-		return rec.Range.At(0), nil
-	}
-	return rec.Access, nil
-}
-
 // Record is one decoded trace record: either a point access or a compressed
 // strided run. Exactly one of the two is meaningful, selected by IsRange.
 type Record struct {
@@ -231,10 +205,11 @@ type Record struct {
 	IsRange bool
 }
 
-// NextRecord decodes one record without expanding ranges — the bulk-ingest
-// counterpart of Next, used by ddprofd to feed compressed runs straight into
-// a pipeline's range path. Count() advances by the element count of each
-// record (a range counts as Count events).
+// NextRecord decodes one record without expanding ranges (a range record is
+// one compressed strided run on the wire). It returns io.EOF at a clean end
+// of stream (a record boundary); a stream that ends inside a record returns
+// an error wrapping io.ErrUnexpectedEOF instead. Count() advances by the
+// element count of each record (a range counts as Count events).
 func (r *Reader) NextRecord() (Record, error) {
 	var rec Record
 	kb, err := r.br.ReadByte()
@@ -312,30 +287,4 @@ func (r *Reader) readPoint(kb byte) (event.Access, error) {
 	r.prev = a
 	r.n++
 	return a, nil
-}
-
-// Replay streams a recorded trace into sink, returning the number of events
-// delivered.
-func Replay(r io.Reader, sink func(event.Access)) (uint64, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return 0, err
-	}
-	for {
-		a, err := tr.Next()
-		if err == io.EOF {
-			return tr.Count(), nil
-		}
-		if err != nil {
-			return tr.Count(), err
-		}
-		sink(a)
-	}
-}
-
-// ReadAll loads a whole trace into memory.
-func ReadAll(r io.Reader) ([]event.Access, error) {
-	var out []event.Access
-	_, err := Replay(r, func(a event.Access) { out = append(out, a) })
-	return out, err
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -116,9 +117,11 @@ func TestRecordReplayProfileEquivalence(t *testing.T) {
 
 	// Live profile.
 	live := core.NewSerial(core.Config{Backend: "perfect"})
-	if _, err := interp.Run(build(), live, interp.Options{}); err != nil {
+	h := event.NewChunkHook(live.AccessBatch)
+	if _, err := interp.Run(build(), h, interp.Options{}); err != nil {
 		t.Fatal(err)
 	}
+	h.Close()
 	liveRes := live.Flush()
 
 	// Record, then replay into a fresh profiler.
@@ -134,13 +137,14 @@ func TestRecordReplayProfileEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayed := core.NewSerial(core.Config{Backend: "perfect"})
-	n, err := Replay(&buf, replayed.Access)
+	evs, err := ReadAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
+	if len(evs) == 0 {
 		t.Fatal("no events replayed")
 	}
+	replayed.AccessBatch(evs, nil)
 	repRes := replayed.Flush()
 
 	if liveRes.Deps.Unique() != repRes.Deps.Unique() {
@@ -174,5 +178,31 @@ func TestCompression(t *testing.T) {
 	perEvent := float64(buf.Len()) / n
 	if perEvent > 16 {
 		t.Errorf("sweep trace uses %.1f bytes/event, want <16 (naive struct is ~45)", perEvent)
+	}
+}
+
+// ReadAll loads a whole trace into memory, ranges expanded into their
+// elements.
+func ReadAll(r io.Reader) ([]event.Access, error) {
+	tr, err := NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	var out []event.Access
+	for {
+		rec, err := tr.NextRecord()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		if !rec.IsRange {
+			out = append(out, rec.Access)
+			continue
+		}
+		for j := uint32(0); j < rec.Range.Count; j++ {
+			out = append(out, rec.Range.At(j))
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"ddprof/internal/analysis"
 	"ddprof/internal/core"
+	"ddprof/internal/event"
 	"ddprof/internal/interp"
 )
 
@@ -197,10 +198,12 @@ func TestNASNamedLoopVerdicts(t *testing.T) {
 			Backend: "perfect",
 			Meta:    p.Meta,
 		})
-		info, err := interp.Run(p, prof, interp.Options{})
+		h := event.NewChunkHook(prof.AccessBatch)
+		info, err := interp.Run(p, h, interp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		h.Close()
 		reports := analysis.DiscoverParallelism(p.Meta, prof.Flush(), info.LoopIters)
 		verdicts := map[string]analysis.LoopReport{}
 		for _, r := range reports {

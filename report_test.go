@@ -9,6 +9,7 @@ import (
 	"ddprof"
 	"ddprof/internal/analysis"
 	"ddprof/internal/core"
+	"ddprof/internal/event"
 	"ddprof/internal/interp"
 	"ddprof/internal/vm"
 	"ddprof/internal/workloads"
@@ -166,10 +167,12 @@ func TestReportMatchesDiscoverParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := vm.New().Run(p, prof, interp.Options{})
+	h := event.NewChunkHook(prof.AccessBatch)
+	info, err := vm.New().Run(p, h, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.Close()
 	loops := analysis.DiscoverParallelism(p.Meta, prof.Flush(), info.LoopIters)
 
 	rows := map[string]string{}
